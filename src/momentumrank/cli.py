@@ -101,7 +101,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         alpha=args.alpha,
         percentiles=percentiles,
-        coupling=args.coupling,
     )
     print(write_report(run_study(config), args.format))
     return 0
@@ -149,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0, help="power-law exponent magnitude")
-    p.add_argument("--coupling", choices=("independent", "permutation"), default="independent")
     p.add_argument("--percentiles", default="95,99", help="comma-separated percentiles in (0,100)")
     _add_format_flag(p)
     p.set_defaults(func=cmd_simulate)

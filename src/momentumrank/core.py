@@ -7,8 +7,12 @@ coordinates; everything else in the package is built on top of that relation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 MODES = ("ratio", "share_delta")
 
@@ -44,6 +48,8 @@ class Snapshot:
         for eid, value in self.scores.items():
             if value < 0:
                 raise InputError(f"negative score for {eid!r}: {value}")
+            if not math.isfinite(value):
+                raise InputError(f"non-finite score for {eid!r}: {value}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,8 @@ class DeltaSystem:
 
     ``entities`` is ordered by rank ascending with ranks contiguous 1..N.
     ``has_scores`` is False when any entity lacks a base score, which makes
-    the weight-based operations unavailable.
+    the weight-based operations unavailable. ``g`` and ``r`` are the gains
+    as read-only float64 columns in rank order, built on first use.
     """
 
     entities: tuple[EntityGain, ...]
@@ -64,16 +71,34 @@ class DeltaSystem:
     def n(self) -> int:
         return len(self.entities)
 
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _column(e.g for e in self.entities)
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return _column(e.r for e in self.entities)
+
+    @cached_property
+    def _by_id(self) -> dict[str, EntityGain]:
+        return {e.id: e for e in self.entities}
+
     def by_id(self, entity_id: str) -> EntityGain:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        raise InputError(f"unknown entity id {entity_id!r}")
+        try:
+            return self._by_id[entity_id]
+        except KeyError:
+            raise InputError(f"unknown entity id {entity_id!r}") from None
 
     def by_rank(self, rank: int) -> EntityGain:
         if not 1 <= rank <= self.n:
             raise InputError(f"rank {rank} out of range 1..{self.n}")
         return self.entities[rank - 1]
+
+
+def _column(values: Iterable[float]) -> np.ndarray:
+    column = np.fromiter(values, dtype=np.float64)
+    column.flags.writeable = False
+    return column
 
 
 def dominates(e: EntityGain, f: EntityGain) -> bool:
@@ -124,7 +149,11 @@ def build_delta_system(
             score = float(score)
             if score < 0:
                 raise InputError(f"negative score for {eid!r}: {score}")
-        rows.append((eid, score, float(g), float(r)))
+        g, r = float(g), float(r)
+        for name, value in (("score", score), ("g", g), ("r", r)):
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"non-finite {name} for {eid!r}: {value}")
+        rows.append((eid, score, g, r))
 
     if rows and all(row[1] is not None for row in rows):
         rows.sort(key=lambda row: (-row[1], row[0]))

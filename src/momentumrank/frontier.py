@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DeltaSystem, InputError, dominates, system_from_entities
+from .core import DeltaSystem, EntityGain, InputError, dominates
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,6 @@ class FrontierResult:
     @property
     def leader_set(self) -> frozenset[str]:
         return frozenset(self.leaders)
-
-    def dominated(self, leader_id: str) -> frozenset[str]:
-        """D(m): ids strictly below ``leader_id`` in both coordinates."""
-        return dominated_set(self.system, leader_id)
-
-    def interval(self, leader_id: str) -> tuple[int, int]:
-        return interval(self.system, leader_id)
 
 
 @dataclass(frozen=True)
@@ -52,6 +45,18 @@ class BoundCheck(NamedTuple):
     frontier_size: int
     moving_maxima_count: int
     holds: bool
+
+
+class LeaderRow(NamedTuple):
+    """What one entity m leads: w(m), its rank interval and |D(m)|.
+
+    ``w`` is None when the system has no usable scores.
+    """
+
+    entity: EntityGain
+    w: float | None
+    interval: tuple[int, int]
+    dominated: int
 
 
 def leader_mask(g: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -96,11 +101,39 @@ def frontier_bruteforce(ds: DeltaSystem) -> FrontierResult:
 
 def frontier_sortscan(ds: DeltaSystem) -> FrontierResult:
     _require_entities(ds)
-    g = np.fromiter((e.g for e in ds.entities), dtype=float, count=ds.n)
-    r = np.fromiter((e.r for e in ds.entities), dtype=float, count=ds.n)
-    mask = leader_mask(g, r)
-    leaders = tuple(e.id for e, keep in zip(ds.entities, mask) if keep)
+    leaders = _ids(ds, np.flatnonzero(leader_mask(ds.g, ds.r)))
     return FrontierResult(system=ds, leaders=leaders, algorithm="sortscan")
+
+
+def _ids(ds: DeltaSystem, positions: np.ndarray) -> tuple[str, ...]:
+    return tuple(ds.entities[i].id for i in positions.tolist())
+
+
+def _dominated_mask(ds: DeltaSystem, entity_id: str) -> tuple[int, np.ndarray]:
+    """Position of ``entity_id`` in rank order and the mask of the entities it dominates."""
+    pos = ds.by_id(entity_id).rank - 1
+    return pos, (ds.g < ds.g[pos]) & (ds.r < ds.r[pos])
+
+
+def leader_row(ds: DeltaSystem, entity_id: str) -> LeaderRow:
+    """w(m), the interval and |D(m)| of one entity, usually a leader.
+
+    ``w`` sums the normalized scores of D(m) with ``math.fsum``, so it is
+    exactly rounded whatever the summation order. The interval is the
+    inclusive rank range (L, R) around m whose other members all lie in
+    D(m): it ends just inside the nearest entity on each side that m does
+    not dominate.
+    """
+    pos, mask = _dominated_mask(ds, entity_id)
+    dominated = np.flatnonzero(mask)
+    w = None
+    if ds.has_scores and ds.total_score > 0:
+        w = math.fsum(ds.entities[i].score / ds.total_score for i in dominated.tolist())
+    left = np.flatnonzero(~mask[:pos])
+    right = np.flatnonzero(~mask[pos + 1 :])
+    lo = int(left[-1]) + 2 if left.size else 1
+    hi = pos + int(right[0]) + 1 if right.size else ds.n
+    return LeaderRow(ds.entities[pos], w, (lo, hi), len(dominated))
 
 
 def dominated_set(ds: DeltaSystem, entity_id: str) -> frozenset[str]:
@@ -109,26 +142,13 @@ def dominated_set(ds: DeltaSystem, entity_id: str) -> frozenset[str]:
     Dominated sets of different leaders may overlap; the entity itself is
     never a member.
     """
-    m = ds.by_id(entity_id)
-    return frozenset(e.id for e in ds.entities if dominates(e, m))
+    _, mask = _dominated_mask(ds, entity_id)
+    return frozenset(_ids(ds, np.flatnonzero(mask)))
 
 
 def interval(ds: DeltaSystem, entity_id: str) -> tuple[int, int]:
-    """Maximal contiguous rank range around the entity lying in its D(m).
-
-    Returns the inclusive pair (L, R) with L <= rank(m) <= R such that every
-    other entity ranked in [L, R] is dominated by m; grown greedily outward
-    from m, which yields the maximal such range since membership of each
-    neighbour is independent of the current range.
-    """
-    m = ds.by_id(entity_id)
-    dom = dominated_set(ds, entity_id)
-    lo = hi = m.rank
-    while hi < ds.n and ds.by_rank(hi + 1).id in dom:
-        hi += 1
-    while lo > 1 and ds.by_rank(lo - 1).id in dom:
-        lo -= 1
-    return lo, hi
+    """Maximal contiguous rank range (L, R) around the entity lying in its D(m)."""
+    return leader_row(ds, entity_id).interval
 
 
 def moving_maxima(values: Sequence[float]) -> MovingMaxima:
@@ -152,9 +172,9 @@ def verify_bound(ds: DeltaSystem) -> BoundCheck:
     """
     if not ds.entities:
         return BoundCheck(0, 0, True)
-    by_gain = sorted(ds.entities, key=lambda e: (-e.g, e.rank))
-    count = moving_maxima([e.r for e in by_gain]).count
-    size = len(frontier_sortscan(ds).leaders)
+    by_gain = np.argsort(-ds.g, kind="stable")
+    count = moving_maxima(ds.r[by_gain].tolist()).count
+    size = int(leader_mask(ds.g, ds.r).sum())
     return BoundCheck(size, count, size <= count)
 
 
@@ -163,12 +183,12 @@ def runners_up(ds: DeltaSystem, layers: int) -> list[tuple[str, ...]]:
     if layers < 1:
         raise InputError(f"layers must be >= 1, got {layers}")
     _require_entities(ds)
-    remaining = list(ds.entities)
+    remaining = np.arange(ds.n)
     peeled: list[tuple[str, ...]] = []
     for _ in range(layers):
-        if not remaining:
+        if not remaining.size:
             break
-        result = frontier_sortscan(system_from_entities(remaining, ds.window))
-        peeled.append(result.leaders)
-        remaining = [e for e in remaining if e.id not in result.leader_set]
+        mask = leader_mask(ds.g[remaining], ds.r[remaining])
+        peeled.append(_ids(ds, remaining[mask]))
+        remaining = remaining[~mask]
     return peeled

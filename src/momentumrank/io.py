@@ -10,12 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Iterable
 
 from .core import DeltaSystem, InputError, Snapshot, build_delta_system
-from .frontier import BoundCheck, FrontierResult, dominated_set, interval
-from .ranking import LeaderRanking, MomentousnessScore, SystemComparison, normalized_weights
+from .frontier import BoundCheck, FrontierResult, leader_row
+from .ranking import LeaderRanking, MomentousnessScore, SystemComparison
 from .simulation import StudyResult
 
 FORMATS = ("json", "csv", "markdown")
@@ -29,9 +30,12 @@ def _number(text: str, *, line: int, column: str, percent: bool = False) -> floa
         # divide by the exactly-representable 100 so "x%" == x/100 bit-for-bit
         body, divisor = raw[:-1], 100.0
     try:
-        return float(body.replace(",", "")) / divisor
+        value = float(body.replace(",", "")) / divisor
     except ValueError:
-        raise InputError(f"line {line}, column {column}: cannot parse number {raw!r}") from None
+        value = math.nan  # unparseable text fails the finiteness check below
+    if not math.isfinite(value):
+        raise InputError(f"line {line}, column {column}: cannot parse number {raw!r}")
+    return value
 
 
 def parse_snapshot(path) -> Snapshot:
@@ -184,17 +188,10 @@ def _markdown_table(header: list[str], rows: Iterable[list]) -> str:
 
 
 def _frontier_rows(result: FrontierResult) -> list[list]:
-    ds = result.system
-    weights = normalized_weights(ds) if ds.has_scores and ds.total_score > 0 else None
     rows = []
     for leader_id in result.leaders:
-        e = ds.by_id(leader_id)
-        dom = dominated_set(ds, leader_id)
-        w = None
-        if weights is not None:
-            w = sum(weights[d] for d in dom)
-        lo, hi = interval(ds, leader_id)
-        rows.append([e.id, e.rank, e.g, e.r, w, f"{lo}..{hi}", len(dom)])
+        e, w, (lo, hi), dominated = leader_row(result.system, leader_id)
+        rows.append([e.id, e.rank, e.g, e.r, w, f"{lo}..{hi}", dominated])
     return rows
 
 
@@ -299,7 +296,6 @@ def _study_report(result: StudyResult, fmt: str) -> str:
                     "x_min": cfg.x_min,
                     "x_max": cfg.resolved_x_max,
                     "percentiles": list(cfg.percentiles),
-                    "coupling": cfg.coupling,
                 },
                 "percentiles": percentiles,
                 "bounds": bounds,
@@ -310,7 +306,7 @@ def _study_report(result: StudyResult, fmt: str) -> str:
     table = _markdown_table(["percentile", "size", "fitted c"], rows)
     bound_line = ", ".join(f"c={k}: {_fmt_human(v)}" for k, v in bounds.items())
     return (
-        f"n={cfg.n} trials={cfg.trials} seed={cfg.seed} coupling={cfg.coupling}\n\n"
+        f"n={cfg.n} trials={cfg.trials} seed={cfg.seed}\n\n"
         f"{table}\n\nbound c*(log10(n)+1)^2 -> {bound_line}"
     )
 

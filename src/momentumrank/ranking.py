@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .core import DeltaSystem, InputError
-from .frontier import dominated_set, frontier_sortscan
+from .frontier import frontier_sortscan, leader_row
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,18 @@ LeaderRows = Iterable[tuple]
 SystemOrLeaders = Union[DeltaSystem, LeaderRows]
 
 
-def normalized_weights(ds: DeltaSystem) -> dict[str, float]:
-    """Per-entity share of the total score; shares sum to 1."""
+def _require_weights(ds: DeltaSystem) -> None:
     if not ds.entities:
         raise InputError("weights require a non-empty system")
     if not ds.has_scores:
         raise InputError("weights require scores on every entity")
     if ds.total_score <= 0:
         raise InputError("weights require a positive total score")
+
+
+def normalized_weights(ds: DeltaSystem) -> dict[str, float]:
+    """Per-entity share of the total score; shares sum to 1."""
+    _require_weights(ds)
     return {e.id: e.score / ds.total_score for e in ds.entities}
 
 
@@ -66,17 +70,17 @@ def leader_weight(ds: DeltaSystem, leader_id: str) -> float:
     leaders = frontier_sortscan(ds).leader_set
     if leader_id not in leaders:
         raise InputError(f"{leader_id!r} is not a momentum leader")
-    weights = normalized_weights(ds)
-    return math.fsum(weights[d] for d in dominated_set(ds, leader_id))
+    _require_weights(ds)
+    return leader_row(ds, leader_id).w
 
 
 def _leader_rows(ds: DeltaSystem) -> list[tuple[str, float, float]]:
     result = frontier_sortscan(ds)
-    weights = normalized_weights(ds)
+    _require_weights(ds)
     rows = []
     for leader_id in result.leaders:
-        w = math.fsum(weights[d] for d in dominated_set(ds, leader_id))
-        rows.append((leader_id, w, ds.by_id(leader_id).r))
+        row = leader_row(ds, leader_id)
+        rows.append((leader_id, row.w, row.entity.r))
     return rows
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .core import InputError
 from .frontier import leader_mask
 
-COUPLINGS = ("independent", "permutation")
 BOUND_COEFFICIENTS = (1 / 3, 1 / 2)
 
 
@@ -26,8 +25,7 @@ class StudyConfig:
 
     ``x_max`` defaults to ``n * x_min``, mimicking the value range of a
     finite ranked population (an untruncated exponent-1 law has divergent
-    mass). ``coupling`` picks how the two marginals are paired: as drawn, or
-    after randomly permuting one of them.
+    mass).
     """
 
     n: int
@@ -37,7 +35,6 @@ class StudyConfig:
     x_min: float = 1.0
     x_max: float | None = None
     percentiles: tuple[float, ...] = (95.0, 99.0)
-    coupling: str = "independent"
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -46,7 +43,7 @@ class StudyConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # also rejects nan
             raise InputError(f"alpha must be > 0, got {self.alpha}")
         if not 0 < self.x_min < self.resolved_x_max:
             raise InputError(
@@ -57,8 +54,6 @@ class StudyConfig:
         for p in self.percentiles:
             if not 0 < p < 100:
                 raise InputError(f"percentiles must lie in (0, 100), got {p}")
-        if self.coupling not in COUPLINGS:
-            raise InputError(f"coupling must be one of {COUPLINGS}, got {self.coupling!r}")
 
     @property
     def resolved_x_max(self) -> float:
@@ -83,7 +78,7 @@ def _inverse_cdf(u: np.ndarray, alpha: float, x_min: float, x_max: float) -> np.
 
 def sample_power_law(count: int, alpha: float, x_min: float, x_max: float, seed) -> np.ndarray:
     """Draw ``count`` values from the truncated Pareto law, deterministically per seed."""
-    if alpha <= 0:
+    if not alpha > 0:  # also rejects nan
         raise InputError(f"alpha must be > 0, got {alpha}")
     if not 0 < x_min < x_max:
         raise InputError(f"cutoffs must satisfy 0 < x_min < x_max, got [{x_min}, {x_max}]")
@@ -97,13 +92,11 @@ def _trial_rng(config: StudyConfig, trial_index: int) -> np.random.Generator:
 
 
 def trial_gains(config: StudyConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (g, r) marginals of one trial after coupling."""
+    """The independent (g, r) marginals of one trial."""
     rng = _trial_rng(config, trial_index)
     x_max = config.resolved_x_max
     g = _inverse_cdf(rng.random(config.n), config.alpha, config.x_min, x_max)
     r = _inverse_cdf(rng.random(config.n), config.alpha, config.x_min, x_max)
-    if config.coupling == "permutation":
-        r = rng.permutation(r)
     return g, r
 
 

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from momentumrank import build_delta_system, leader_weight
 from momentumrank.cli import main
+
+from util import STYLES, random_pairs
 
 
 def run_cli(capsys, *argv):
@@ -188,6 +192,44 @@ def test_share_delta_mode_flag(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert [row["id"] for row in payload["leaders"]] == ["A"]
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_w_identical_across_leaders_rank_and_leader_weight(capsys, tmp_path, style):
+    rng = np.random.default_rng([61, STYLES.index(style)])
+    for trial in range(8):
+        g, r = random_pairs(rng, 300, style)
+        scores = rng.random(300) * 1e6
+        records = [(f"e{i:03d}", float(scores[i]), float(g[i]), float(r[i])) for i in range(300)]
+        path = tmp_path / f"{trial}.csv"
+        path.write_text("id,score,g,r\n" + "".join(f"{i},{s!r},{a!r},{b!r}\n" for i, s, a, b in records))
+        ds = build_delta_system(records)
+        _, out, _ = run_cli(capsys, "leaders", "--gains", str(path), "--format", "json")
+        from_leaders = {row["id"]: row["w"] for row in json.loads(out)["leaders"]}
+        _, out, _ = run_cli(capsys, "rank", "--gains", str(path), "--format", "json")
+        from_rank = {row["id"]: row["w"] for row in json.loads(out)["leaders"]}
+        from_api = {m: leader_weight(ds, m) for m in from_leaders}
+        assert from_leaders == from_rank == from_api
+
+
+def test_nan_in_gains_table_exits_2_with_line(capsys, tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("id,g,r\na,10,1.0\nb,nan,0.5\nc,5,2.0\nd,3,nan\ne,1,3.0\n")
+    code, out, err = run_cli(capsys, "leaders", "--gains", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 3" in err
+
+
+def test_nan_in_json_snapshot_exits_2(capsys, tmp_path):
+    before = tmp_path / "before.json"
+    after = tmp_path / "after.json"
+    before.write_text('{"scores": {"A": 100, "B": NaN}}')
+    after.write_text('{"scores": {"A": 110, "B": 10}}')
+    code, out, err = run_cli(capsys, "rank", "--before", str(before), "--after", str(after))
+    assert code == 2
+    assert out == ""
+    assert "non-finite score for 'B'" in err
 
 
 def test_unknown_subcommand_exits_2():

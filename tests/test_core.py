@@ -88,6 +88,32 @@ class TestBuildDeltaSystem:
         assert [e.id for e in ds.entities] == ["a", "b"]
         assert not ds.has_scores
 
+    def test_non_finite_gain_rejected(self):
+        # a nan once hid e, the highest relative gainer, from the sort-scan
+        records = [("a", 10, 1.0), ("b", math.nan, 0.5), ("c", 5, 2.0), ("d", 3, math.nan), ("e", 1, 3.0)]
+        with pytest.raises(InputError, match="non-finite g for 'b'"):
+            build_delta_system(records)
+
+    @pytest.mark.parametrize("field", [1, 2, 3])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        record = ["x", 1.0, 2.0, 0.5]
+        record[field] = value
+        expected = "negative score" if (field, value) == (1, -math.inf) else "non-finite"
+        with pytest.raises(InputError, match=expected):
+            build_delta_system([tuple(record)])
+
+    def test_columns_are_read_only_in_rank_order(self):
+        ds = build_delta_system([("b", 5.0, 1.0, 0.1), ("a", 9.0, 2.0, -0.2)])
+        assert ds.g.dtype == np.float64 and ds.g.tolist() == [2.0, 1.0]
+        assert ds.r.tolist() == [-0.2, 0.1]
+        assert ds.g is ds.g  # built once
+        with pytest.raises(ValueError):
+            ds.r[0] = 0.0
+        assert ds.by_id("b").rank == 2
+        with pytest.raises(InputError, match="unknown entity id 'z'"):
+            ds.by_id("z")
+
     def test_total_score_matches_sum(self):
         rng = np.random.default_rng(3)
         scores = rng.random(50) * 1e6
@@ -153,6 +179,10 @@ class TestDeriveFromSnapshots:
         with pytest.raises(InputError, match="non-empty"):
             derive_from_snapshots(Snapshot("", {}), Snapshot("", {"A": 1.0}))
 
+    def test_ratio_overflow_rejected(self):
+        with pytest.raises(InputError, match="non-finite r for 'A'"):
+            derive_from_snapshots(Snapshot("", {"A": 1e-300}), Snapshot("", {"A": 1e300}), "ratio")
+
     def test_share_delta_zero_total_rejected(self):
         zero = Snapshot("", {"A": 0.0})
         with pytest.raises(InputError, match="positive total"):
@@ -198,3 +228,9 @@ class TestDeriveFromSnapshots:
 def test_snapshot_rejects_negative_scores():
     with pytest.raises(InputError, match="negative"):
         Snapshot("", {"A": -1.0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_snapshot_rejects_non_finite_scores(value):
+    with pytest.raises(InputError, match="non-finite score for 'A'"):
+        Snapshot("", {"A": value})

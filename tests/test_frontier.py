@@ -17,14 +17,14 @@ from momentumrank import (
 )
 
 from util import (
+    STYLES,
     naive_dominated_indices,
+    naive_layers,
     naive_leader_indices,
     naive_max_window,
     random_pairs,
     records_from_pairs,
 )
-
-STYLES = ("continuous", "grid", "negative", "mixed")
 
 
 def ranks_of(ds, ids):
@@ -156,11 +156,12 @@ class TestInterval:
         for rank, expected in by_rank.items():
             assert interval(table2, table2.by_rank(rank).id) == expected
 
-    def test_matches_bruteforce_window_search(self):
-        rng = np.random.default_rng(31)
+    @pytest.mark.parametrize("style", STYLES)
+    def test_matches_bruteforce_window_search(self, style):
+        rng = np.random.default_rng([31, STYLES.index(style)])
         for _ in range(60):
             n = int(rng.integers(1, 12))
-            g, r = random_pairs(rng, n, "grid")
+            g, r = random_pairs(rng, n, style)
             ds = build_delta_system(records_from_pairs(g, r))
             pairs = list(zip(g, r))
             for pos, e in enumerate(ds.entities, start=1):
@@ -273,6 +274,15 @@ class TestRunnersUp:
         flat = [i for layer in layers for i in layer]
         assert sorted(flat) == sorted(e.id for e in ds.entities)
         assert all(layer for layer in layers)
+
+    @pytest.mark.parametrize("style", STYLES)
+    def test_matches_naive_peeling(self, style):
+        rng = np.random.default_rng([53, STYLES.index(style)])
+        for _ in range(40):
+            g, r = random_pairs(rng, int(rng.integers(1, 60)), style)
+            ds = build_delta_system(records_from_pairs(g, r))
+            expected = [tuple(ds.entities[i].id for i in layer) for layer in naive_layers(list(zip(g, r)), 6)]
+            assert runners_up(ds, 6) == expected
 
     def test_invalid_layer_count(self, abcd):
         with pytest.raises(InputError):

@@ -36,6 +36,13 @@ class TestParseSnapshot:
         assert snap.timestamp == "2021-05-01"
         assert snap.scores == {"A": 1.5}
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_json_non_finite_score(self, tmp_path, literal):
+        p = tmp_path / "snap.json"
+        p.write_text('{"scores": {"A": 1.0, "B": %s}}' % literal)
+        with pytest.raises(InputError, match="non-finite score for 'B'"):
+            parse_snapshot(p)
+
     def test_duplicate_id_names_id_and_line(self, tmp_path):
         p = tmp_path / "snap.csv"
         p.write_text("id,score\nA,100\nA,50\n")
@@ -115,6 +122,13 @@ class TestParseGainsTable:
         p = tmp_path / "g.csv"
         p.write_text("id,g,r\nA,1,0.1\nB,oops,0.2\n")
         with pytest.raises(InputError, match=r"line 3, column g"):
+            parse_gains_table(p)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e999", "nan%"])
+    def test_non_finite_number_reports_line_and_column(self, tmp_path, text):
+        p = tmp_path / "g.csv"
+        p.write_text(f"id,g,r\nA,1,0.1\nB,2,{text}\n")
+        with pytest.raises(InputError, match=r"line 3, column r"):
             parse_gains_table(p)
 
     def test_header_only_gives_empty_system(self, tmp_path):

@@ -56,7 +56,7 @@ class TestStudyConfig:
             (dict(n=100, trials=1, percentiles=(0.0,)), "percentiles"),
             (dict(n=100, trials=1, percentiles=(100.0,)), "percentiles"),
             (dict(n=100, trials=1, percentiles=()), "percentile"),
-            (dict(n=100, trials=1, coupling="shuffled"), "coupling"),
+            (dict(n=100, trials=1, alpha=math.nan), "alpha"),
             (dict(n=100, trials=1, alpha=0.0), "alpha"),
             (dict(n=100, trials=1, seed=-1), "seed"),
         ],
@@ -87,9 +87,8 @@ class TestRunTrial:
         g2, _ = trial_gains(config, 1)
         assert not np.array_equal(g1, g2)
 
-    @pytest.mark.parametrize("coupling", ["independent", "permutation"])
-    def test_matches_bruteforce_on_small_systems(self, coupling):
-        config = StudyConfig(n=60, trials=1, seed=13, coupling=coupling)
+    def test_matches_bruteforce_on_small_systems(self):
+        config = StudyConfig(n=60, trials=1, seed=13)
         for t in range(40):
             g, r = trial_gains(config, t)
             ds = build_delta_system(records_from_pairs(g, r))

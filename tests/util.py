@@ -17,6 +17,19 @@ def naive_leader_indices(pairs) -> list[int]:
     ]
 
 
+def naive_layers(pairs, layers) -> list[list[int]]:
+    """Peel successive frontiers: layer k leads what layers 1..k-1 left over."""
+    remaining = list(range(len(pairs)))
+    peeled = []
+    for _ in range(layers):
+        if not remaining:
+            break
+        leaders = [remaining[k] for k in naive_leader_indices([pairs[i] for i in remaining])]
+        peeled.append(leaders)
+        remaining = [i for i in remaining if i not in leaders]
+    return peeled
+
+
 def naive_dominated_indices(pairs, i) -> set[int]:
     g, r = pairs[i]
     return {j for j, (g2, r2) in enumerate(pairs) if g2 < g and r2 < r}
@@ -32,6 +45,9 @@ def naive_max_window(n, pos, dominated_positions) -> tuple[int, int]:
                 if hi - lo > best[1] - best[0]:
                     best = (lo, hi)
     return best
+
+
+STYLES = ("continuous", "grid", "negative", "mixed")
 
 
 def random_pairs(rng: np.random.Generator, n: int, style: str) -> tuple[np.ndarray, np.ndarray]:
