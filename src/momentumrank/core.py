@@ -8,7 +8,7 @@ coordinates; everything else in the package is built on top of that relation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -52,53 +52,73 @@ class Snapshot:
                 raise InputError(f"non-finite score for {eid!r}: {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeltaSystem:
-    """N ranked entities with their gains over one shared window.
+    """N ranked entities with their gains over one shared window, as columns.
 
-    ``entities`` is ordered by rank ascending with ranks contiguous 1..N.
-    ``has_scores`` is False when any entity lacks a base score, which makes
-    the weight-based operations unavailable. ``g`` and ``r`` are the gains
-    as read-only float64 columns in rank order, built on first use.
+    ``ids`` lists the entities by rank ascending: rank ``k`` sits at position
+    ``k - 1``. ``g``, ``r`` and ``score`` are read-only float64 columns in
+    the same order; ``score`` is NaN where an entity has no base score.
+    ``has_scores`` is False when any entity lacks one, which makes the
+    weight-based operations unavailable. ``EntityGain`` values are built
+    only on demand: ``by_id`` and ``by_rank`` build one, and ``entities``
+    builds the full view once, on first use.
     """
 
-    entities: tuple[EntityGain, ...]
+    ids: tuple[str, ...]
+    g: np.ndarray
+    r: np.ndarray
+    score: np.ndarray
     window: str = ""
     total_score: float = 0.0
     has_scores: bool = False
 
     @property
     def n(self) -> int:
-        return len(self.entities)
+        return len(self.ids)
 
     @cached_property
-    def g(self) -> np.ndarray:
-        return _column(e.g for e in self.entities)
+    def entities(self) -> tuple[EntityGain, ...]:
+        return tuple(map(self._entity, range(self.n)))
 
     @cached_property
-    def r(self) -> np.ndarray:
-        return _column(e.r for e in self.entities)
+    def _index(self) -> dict[str, int]:
+        return {eid: i for i, eid in enumerate(self.ids)}
 
-    @cached_property
-    def _by_id(self) -> dict[str, EntityGain]:
-        return {e.id: e for e in self.entities}
-
-    def by_id(self, entity_id: str) -> EntityGain:
+    def index(self, entity_id: str) -> int:
+        """Position of ``entity_id`` in the columns: its rank minus 1."""
         try:
-            return self._by_id[entity_id]
+            return self._index[entity_id]
         except KeyError:
             raise InputError(f"unknown entity id {entity_id!r}") from None
+
+    def by_id(self, entity_id: str) -> EntityGain:
+        return self._entity(self.index(entity_id))
 
     def by_rank(self, rank: int) -> EntityGain:
         if not 1 <= rank <= self.n:
             raise InputError(f"rank {rank} out of range 1..{self.n}")
-        return self.entities[rank - 1]
+        return self._entity(rank - 1)
 
+    def _entity(self, i: int) -> EntityGain:
+        score = float(self.score[i])
+        return EntityGain(
+            self.ids[i], float(self.g[i]), float(self.r[i]), None if math.isnan(score) else score, i + 1
+        )
 
-def _column(values: Iterable[float]) -> np.ndarray:
-    column = np.fromiter(values, dtype=np.float64)
-    column.flags.writeable = False
-    return column
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DeltaSystem):
+            return NotImplemented
+        return (
+            (self.ids, self.window, self.total_score, self.has_scores)
+            == (other.ids, other.window, other.total_score, other.has_scores)
+            and np.array_equal(self.g, other.g)
+            and np.array_equal(self.r, other.r)
+            and np.array_equal(self.score, other.score, equal_nan=True)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ids, self.window, self.total_score))
 
 
 def dominates(e: EntityGain, f: EntityGain) -> bool:
@@ -110,15 +130,84 @@ def dominates(e: EntityGain, f: EntityGain) -> bool:
     return e.g < f.g and e.r < f.r
 
 
+def _build(
+    ids: list[str],
+    score: list[float | None],
+    g: list[float],
+    r: list[float],
+    window: str = "",
+    *,
+    rank: bool = True,
+) -> DeltaSystem:
+    """Validate, rank and freeze record columns: the one way a system is made.
+
+    ``score`` holds None where an entity has no base score. With ``rank``
+    set and every score present, entities are ordered by descending score
+    with ties broken by ascending id (Python string order); otherwise the
+    given order is kept.
+    """
+    missing = np.array([s is None for s in score], dtype=bool)
+    score_col, g_col, r_col = (np.array(c, dtype=np.float64) for c in (score, g, r))  # None reads as NaN
+    _check_columns(ids, missing, score_col, g_col, r_col)
+    has_scores = bool(ids) and not missing.any()
+    if rank and has_scores:
+        id_order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        order = id_order[np.argsort(-score_col[id_order], kind="stable")]
+        ids = list(map(ids.__getitem__, order.tolist()))
+        score_col, g_col, r_col = score_col[order], g_col[order], r_col[order]
+    for column in (score_col, g_col, r_col):
+        column.flags.writeable = False
+    return DeltaSystem(
+        ids=tuple(ids),
+        g=g_col,
+        r=r_col,
+        score=score_col,
+        window=window,
+        total_score=float(sum(s for s in score_col.tolist() if not math.isnan(s))),
+        has_scores=has_scores,
+    )
+
+
+def _check_columns(
+    ids: list[str], missing: np.ndarray, score: np.ndarray, g: np.ndarray, r: np.ndarray
+) -> None:
+    """Raise the error of the first faulty record.
+
+    Within one record the checks run in this order: duplicate id, negative
+    score, non-finite score, non-finite g, non-finite r.
+    """
+    faults = []  # (record, precedence, message) for the first record failing each check
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for i, eid in enumerate(ids):
+            if eid in seen:
+                faults.append((i, 0, f"duplicate entity id {eid!r}"))
+                break
+            seen.add(eid)
+    checks = (
+        ("negative score", score < 0, score),
+        ("non-finite score", ~(np.isfinite(score) | missing), score),
+        ("non-finite g", ~np.isfinite(g), g),
+        ("non-finite r", ~np.isfinite(r), r),
+    )
+    for precedence, (fault, bad, column) in enumerate(checks, start=1):
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            i = int(hits[0])
+            faults.append((i, precedence, f"{fault} for {ids[i]!r}: {float(column[i])}"))
+    if faults:
+        raise InputError(min(faults)[2])
+
+
 def system_from_entities(entities: Sequence[EntityGain], window: str = "") -> DeltaSystem:
     """Re-rank ``entities`` 1..N in the given order and wrap them in a system."""
-    ranked = tuple(replace(e, rank=i) for i, e in enumerate(entities, start=1))
-    scores = [e.score for e in ranked]
-    return DeltaSystem(
-        entities=ranked,
-        window=window,
-        total_score=float(sum(s for s in scores if s is not None)),
-        has_scores=bool(ranked) and all(s is not None for s in scores),
+    return _build(
+        [e.id for e in entities],
+        [e.score for e in entities],
+        [e.g for e in entities],
+        [e.r for e in entities],
+        window,
+        rank=False,
     )
 
 
@@ -131,34 +220,21 @@ def build_delta_system(
     score with ties broken by ascending id; otherwise the input order is
     preserved and ranks are assigned by position.
     """
-    rows: list[tuple[str, float | None, float, float]] = []
-    seen: set[str] = set()
+    ids, score, g, r = [], [], [], []
     for rec in records:
         if len(rec) == 3:
-            eid, g, r = rec
-            score = None
+            eid, g_value, r_value = rec
+            score_value = None
         elif len(rec) == 4:
-            eid, score, g, r = rec
+            eid, score_value, g_value, r_value = rec
         else:
+            _build(ids, score, g, r)  # a fault in an earlier record is reported first
             raise InputError(f"record must be (id, score, g, r) or (id, g, r), got {rec!r}")
-        eid = str(eid)
-        if eid in seen:
-            raise InputError(f"duplicate entity id {eid!r}")
-        seen.add(eid)
-        if score is not None:
-            score = float(score)
-            if score < 0:
-                raise InputError(f"negative score for {eid!r}: {score}")
-        g, r = float(g), float(r)
-        for name, value in (("score", score), ("g", g), ("r", r)):
-            if value is not None and not math.isfinite(value):
-                raise InputError(f"non-finite {name} for {eid!r}: {value}")
-        rows.append((eid, score, g, r))
-
-    if rows and all(row[1] is not None for row in rows):
-        rows.sort(key=lambda row: (-row[1], row[0]))
-    entities = [EntityGain(id=eid, g=g, r=r, score=score) for eid, score, g, r in rows]
-    return system_from_entities(entities, window)
+        ids.append(str(eid))
+        score.append(None if score_value is None else float(score_value))
+        g.append(float(g_value))
+        r.append(float(r_value))
+    return _build(ids, score, g, r, window)
 
 
 def derive_from_snapshots(
@@ -184,7 +260,7 @@ def derive_from_snapshots(
             raise InputError("share_delta requires a positive total score in both snapshots")
 
     warnings: list[str] = []
-    records: list[tuple[str, float, float, float]] = []
+    ids, base, gains, rel = [], [], [], []
     for eid in sorted(set(before.scores) | set(after.scores)):
         if eid not in before.scores:
             warnings.append(f"excluded {eid!r}: present only in the after snapshot")
@@ -201,9 +277,12 @@ def derive_from_snapshots(
             r = g / old
         else:
             r = new / after_total - old / before_total
-        records.append((eid, old, g, r))
+        ids.append(eid)
+        base.append(old)
+        gains.append(g)
+        rel.append(r)
 
     window = ""
     if before.timestamp or after.timestamp:
         window = f"{before.timestamp}..{after.timestamp}"
-    return build_delta_system(records, window), tuple(warnings)
+    return _build(ids, base, gains, rel, window), tuple(warnings)

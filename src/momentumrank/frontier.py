@@ -87,7 +87,7 @@ def leader_mask(g: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _require_entities(ds: DeltaSystem) -> None:
-    if not ds.entities:
+    if not ds.n:
         raise InputError("frontier operations require a non-empty system")
 
 
@@ -106,12 +106,12 @@ def frontier_sortscan(ds: DeltaSystem) -> FrontierResult:
 
 
 def _ids(ds: DeltaSystem, positions: np.ndarray) -> tuple[str, ...]:
-    return tuple(ds.entities[i].id for i in positions.tolist())
+    return tuple(map(ds.ids.__getitem__, positions.tolist()))
 
 
 def _dominated_mask(ds: DeltaSystem, entity_id: str) -> tuple[int, np.ndarray]:
     """Position of ``entity_id`` in rank order and the mask of the entities it dominates."""
-    pos = ds.by_id(entity_id).rank - 1
+    pos = ds.index(entity_id)
     return pos, (ds.g < ds.g[pos]) & (ds.r < ds.r[pos])
 
 
@@ -125,15 +125,14 @@ def leader_row(ds: DeltaSystem, entity_id: str) -> LeaderRow:
     not dominate.
     """
     pos, mask = _dominated_mask(ds, entity_id)
-    dominated = np.flatnonzero(mask)
     w = None
     if ds.has_scores and ds.total_score > 0:
-        w = math.fsum(ds.entities[i].score / ds.total_score for i in dominated.tolist())
+        w = math.fsum((ds.score[mask] / ds.total_score).tolist())
     left = np.flatnonzero(~mask[:pos])
     right = np.flatnonzero(~mask[pos + 1 :])
     lo = int(left[-1]) + 2 if left.size else 1
     hi = pos + int(right[0]) + 1 if right.size else ds.n
-    return LeaderRow(ds.entities[pos], w, (lo, hi), len(dominated))
+    return LeaderRow(ds.by_rank(pos + 1), w, (lo, hi), int(np.count_nonzero(mask)))
 
 
 def dominated_set(ds: DeltaSystem, entity_id: str) -> frozenset[str]:
@@ -170,7 +169,7 @@ def verify_bound(ds: DeltaSystem) -> BoundCheck:
     with distinct r as well the two are equal; with tied g the comparison is
     still computed but may legitimately fail.
     """
-    if not ds.entities:
+    if not ds.n:
         return BoundCheck(0, 0, True)
     by_gain = np.argsort(-ds.g, kind="stable")
     count = moving_maxima(ds.r[by_gain].tolist()).count

@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 from typing import Iterable
 
-from .core import DeltaSystem, InputError, Snapshot, build_delta_system
+from .core import DeltaSystem, InputError, Snapshot, _build
 from .frontier import BoundCheck, FrontierResult, leader_row
 from .ranking import LeaderRanking, MomentousnessScore, SystemComparison
 from .simulation import StudyResult
@@ -24,17 +24,20 @@ FORMATS = ("json", "csv", "markdown")
 
 def _number(text: str, *, line: int, column: str, percent: bool = False) -> float:
     """Parse one numeric field; percent strings are allowed only where flagged."""
-    raw = text.strip()
-    body, divisor = raw, 1.0
-    if percent and raw.endswith("%"):
-        # divide by the exactly-representable 100 so "x%" == x/100 bit-for-bit
-        body, divisor = raw[:-1], 100.0
     try:
-        value = float(body.replace(",", "")) / divisor
+        value = float(text)  # text float() accepts holds no ',' or '%'
     except ValueError:
-        value = math.nan  # unparseable text fails the finiteness check below
+        raw = text.strip()
+        body, divisor = raw, 1.0
+        if percent and raw.endswith("%"):
+            # divide by the exactly-representable 100 so "x%" == x/100 bit-for-bit
+            body, divisor = raw[:-1], 100.0
+        try:
+            value = float(body.replace(",", "")) / divisor
+        except ValueError:
+            value = math.nan  # unparseable text fails the finiteness check below
     if not math.isfinite(value):
-        raise InputError(f"line {line}, column {column}: cannot parse number {raw!r}")
+        raise InputError(f"line {line}, column {column}: cannot parse number {text.strip()!r}")
     return value
 
 
@@ -93,29 +96,42 @@ def _snapshot_from_csv(text: str, path) -> Snapshot:
 def parse_gains_table(path, window: str = "") -> DeltaSystem:
     """Read a pre-diffed gains table: columns ``id[,score],g,r``, extras ignored.
 
-    Row order defines rank when the score column is absent.
+    Row order defines rank when the score column is absent. Blank lines are
+    skipped, a short row reads its missing fields as empty, and a repeated
+    column name reads its last column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = [f.strip().lower() for f in reader.fieldnames or []]
+        reader = csv.reader(fh)
+        fields = [f.strip().lower() for f in next(reader, [])]
         missing = {"id", "g", "r"} - set(fields)
         if missing:
             raise InputError(f"{path}: expected columns id[,score],g,r (missing {sorted(missing)})")
-        has_score = "score" in fields
-        records = []
+        at = {name: i for i, name in enumerate(fields)}
+        id_at, g_at, r_at, score_at = at["id"], at["g"], at["r"], at.get("score")
+        ids, score, g, r = [], [], [], []
+        seen = set()
         for row in reader:
-            row = {(k or "").strip().lower(): (v or "") for k, v in row.items()}
+            if not row:
+                continue
+            if len(row) < len(fields):
+                row += [""] * (len(fields) - len(row))
             line_no = reader.line_num
-            eid = row["id"].strip()
+            eid = row[id_at].strip()
             if not eid:
                 raise InputError(f"line {line_no}: empty entity id")
-            g = _number(row["g"], line=line_no, column="g")
-            r = _number(row["r"], line=line_no, column="r", percent=True)
-            score = None
-            if has_score and row["score"].strip():
-                score = _number(row["score"], line=line_no, column="score")
-            records.append((eid, score, g, r))
-    return build_delta_system(records, window)
+            g.append(_number(row[g_at], line=line_no, column="g"))
+            r.append(_number(row[r_at], line=line_no, column="r", percent=True))
+            value = None
+            if score_at is not None and row[score_at].strip():
+                value = _number(row[score_at], line=line_no, column="score")
+                if value < 0:
+                    raise InputError(f"line {line_no}: negative score for {eid!r}: {value}")
+            if eid in seen:
+                raise InputError(f"line {line_no}: duplicate entity id {eid!r}")
+            seen.add(eid)
+            ids.append(eid)
+            score.append(value)
+    return _build(ids, score, g, r, window)
 
 
 def parse_leaders_table(path) -> tuple[tuple[str, float, float], ...]:
@@ -333,7 +349,8 @@ def _bound_report(check: BoundCheck, fmt: str) -> str:
 
 
 def _system_report(ds: DeltaSystem, fmt: str) -> str:
-    include_score = any(e.score is not None for e in ds.entities)
+    scores = [None if math.isnan(s) else s for s in ds.score.tolist()]
+    columns = (ds.ids, scores, ds.g.tolist(), ds.r.tolist())
     if fmt == "json":
         return _json_document(
             {
@@ -341,16 +358,15 @@ def _system_report(ds: DeltaSystem, fmt: str) -> str:
                 "total_score": ds.total_score,
                 "has_scores": ds.has_scores,
                 "entities": [
-                    {"id": e.id, "rank": e.rank, "score": e.score, "g": e.g, "r": e.r}
-                    for e in ds.entities
+                    {"id": eid, "rank": rank, "score": score, "g": g, "r": r}
+                    for rank, (eid, score, g, r) in enumerate(zip(*columns), start=1)
                 ],
             }
         )
-    header = ["id", "score", "g", "r"] if include_score else ["id", "g", "r"]
-    rows = [
-        [e.id, e.score, e.g, e.r] if include_score else [e.id, e.g, e.r]
-        for e in ds.entities
-    ]
+    if any(s is not None for s in scores):
+        header, rows = ["id", "score", "g", "r"], zip(*columns)
+    else:
+        header, rows = ["id", "g", "r"], zip(ds.ids, *columns[2:])
     if fmt == "csv":
         return _csv_document(header, rows)
     return _markdown_table(header, rows)

@@ -51,7 +51,7 @@ SystemOrLeaders = Union[DeltaSystem, LeaderRows]
 
 
 def _require_weights(ds: DeltaSystem) -> None:
-    if not ds.entities:
+    if not ds.n:
         raise InputError("weights require a non-empty system")
     if not ds.has_scores:
         raise InputError("weights require scores on every entity")
@@ -62,7 +62,7 @@ def _require_weights(ds: DeltaSystem) -> None:
 def normalized_weights(ds: DeltaSystem) -> dict[str, float]:
     """Per-entity share of the total score; shares sum to 1."""
     _require_weights(ds)
-    return {e.id: e.score / ds.total_score for e in ds.entities}
+    return dict(zip(ds.ids, (ds.score / ds.total_score).tolist()))
 
 
 def leader_weight(ds: DeltaSystem, leader_id: str) -> float:

@@ -43,8 +43,7 @@ class StudyConfig:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
-        if not self.alpha > 0:  # also rejects nan
-            raise InputError(f"alpha must be > 0, got {self.alpha}")
+        _check_alpha(self.alpha)
         if not 0 < self.x_min < self.resolved_x_max:
             raise InputError(
                 f"cutoffs must satisfy 0 < x_min < x_max, got [{self.x_min}, {self.resolved_x_max}]"
@@ -69,6 +68,12 @@ class StudyResult:
     fitted_c: dict[float, float] = field(compare=False)
 
 
+def _check_alpha(alpha: float) -> None:
+    # an infinite exponent collapses every draw to x_min, so all entities tie
+    if not (alpha > 0 and math.isfinite(alpha)):  # also rejects nan
+        raise InputError(f"alpha must be finite and > 0, got {alpha}")
+
+
 def _inverse_cdf(u: np.ndarray, alpha: float, x_min: float, x_max: float) -> np.ndarray:
     # truncated Pareto with density ~ x^-(alpha+1) on [x_min, x_max]
     lo = x_min ** -alpha
@@ -78,8 +83,7 @@ def _inverse_cdf(u: np.ndarray, alpha: float, x_min: float, x_max: float) -> np.
 
 def sample_power_law(count: int, alpha: float, x_min: float, x_max: float, seed) -> np.ndarray:
     """Draw ``count`` values from the truncated Pareto law, deterministically per seed."""
-    if not alpha > 0:  # also rejects nan
-        raise InputError(f"alpha must be > 0, got {alpha}")
+    _check_alpha(alpha)
     if not 0 < x_min < x_max:
         raise InputError(f"cutoffs must satisfy 0 < x_min < x_max, got [{x_min}, {x_max}]")
     rng = np.random.default_rng(seed)

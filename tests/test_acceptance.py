@@ -5,6 +5,7 @@ lines; every tolerance is pinned here.
 """
 import csv
 import math
+import os
 import subprocess
 import sys
 import time
@@ -202,6 +203,8 @@ def test_criterion_13_cli_output_is_byte_identical():
         ["simulate", "--n", "2000", "--trials", "40", "--seed", "7", "--format", "json"],
         ["simulate", "--n", "2000", "--trials", "40", "--seed", "7", "--format", "csv"],
     ]
+    # the child imports the package from this checkout, as the tests do
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     for argv in invocations:
         runs = [
             subprocess.run(
@@ -209,6 +212,7 @@ def test_criterion_13_cli_output_is_byte_identical():
                 capture_output=True,
                 cwd=REPO,
                 check=True,
+                env={**os.environ, "PYTHONPATH": path},
             )
             for _ in range(2)
         ]

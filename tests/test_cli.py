@@ -146,6 +146,23 @@ def test_simulate_rejects_bad_percentiles(capsys):
     assert "percentiles" in err
 
 
+def test_simulate_rejects_infinite_alpha(capsys):
+    # every draw would collapse to x_min, making all entities tied leaders
+    code, out, err = run_cli(capsys, "simulate", "--n", "100", "--trials", "2", "--alpha", "inf")
+    assert code == 2
+    assert out == ""
+    assert "alpha" in err
+
+
+def test_duplicate_id_in_gains_table_exits_2_with_line(capsys, tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("id,g,r\na,1,0.1\nb,2,0.2\na,3,0.3\n")
+    code, out, err = run_cli(capsys, "leaders", "--gains", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 4: duplicate entity id 'a'\n"
+
+
 def test_simulate_deterministic_output(capsys):
     args = ["simulate", "--n", "1000", "--trials", "25", "--seed", "7", "--format", "json"]
     code, first, _ = run_cli(capsys, *args)

@@ -15,6 +15,8 @@ from momentumrank import (
     frontier_sortscan,
 )
 
+from util import STYLES, naive_system, random_pairs, records_from_pairs
+
 coord = st.one_of(
     st.integers(-3, 3).map(float),  # small grid forces ties
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -121,6 +123,63 @@ class TestBuildDeltaSystem:
             [(f"e{i}", s, 1.0, 0.1) for i, s in enumerate(scores)]
         )
         assert ds.total_score == pytest.approx(scores.sum(), rel=1e-9)
+
+
+class TestColumnarBuild:
+    @given(
+        style=st.sampled_from(STYLES),
+        scores=st.sampled_from(["none", "partial", "tied", "distinct"]),
+        n=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_record_oracle(self, style, scores, n, seed):
+        rng = np.random.default_rng(seed)
+        g, r = random_pairs(rng, n, style)
+        values = None
+        if scores == "tied":
+            values = rng.integers(0, 3, n).astype(float)  # ties exercise the id tie-break
+        elif scores != "none":
+            values = rng.random(n) * 1e6
+        records = records_from_pairs(g, r, values)
+        if scores == "partial" and n:
+            records[-1] = (records[-1][0], None, *records[-1][2:])
+        records = [records[i] for i in rng.permutation(n)]  # input order is not id order
+        ds = build_delta_system(records)
+        oracle = naive_system(records)
+
+        assert [(e.id, e.score, e.g, e.r, e.rank) for e in ds.entities] == oracle
+        assert [ds.by_rank(row[4]) for row in oracle] == list(ds.entities)
+        assert [ds.by_id(row[0]) for row in oracle] == list(ds.entities)
+        assert ds.ids == tuple(row[0] for row in oracle)
+        assert ds.g.tolist() == [row[2] for row in oracle]
+        assert ds.r.tolist() == [row[3] for row in oracle]
+        assert [None if math.isnan(s) else s for s in ds.score.tolist()] == [row[1] for row in oracle]
+        present = [row[1] for row in oracle if row[1] is not None]
+        assert ds.total_score == sum(present)  # the builtin sum in rank order, bit for bit
+        assert ds.has_scores == (n > 0 and len(present) == n)
+        for column in (ds.g, ds.r, ds.score):
+            assert column.dtype == np.float64 and not column.flags.writeable
+
+    def test_earlier_record_fault_wins(self):
+        records = [("a", 1.0, 0.1), ("b", math.nan, 0.2), ("a", 2.0, 0.3)]
+        with pytest.raises(InputError, match="non-finite g for 'b'"):
+            build_delta_system(records)
+        with pytest.raises(InputError, match="non-finite g for 'b'"):
+            build_delta_system(records[:2] + [("c",)])
+        with pytest.raises(InputError, match="record must be"):
+            build_delta_system([("c",)] + records[:2])
+
+    def test_duplicate_reported_before_negative_score_in_one_record(self):
+        with pytest.raises(InputError, match="duplicate entity id 'a'"):
+            build_delta_system([("a", 1.0, 1.0, 0.1), ("a", -1.0, 2.0, 0.2)])
+
+    def test_systems_from_the_same_records_are_equal(self):
+        records = [("b", 5.0, 1.0, 0.1), ("a", 5.0, 2.0, -0.2), ("c", None, 0.0, 0.0)]
+        first, second = build_delta_system(records), build_delta_system(records)
+        assert first == second and hash(first) == hash(second)
+        assert first != build_delta_system(records, window="t0..t1")
+        assert first != build_delta_system(records[:2])
+        assert first != records  # no error comparing with a non-system
 
 
 class TestDeriveFromSnapshots:

@@ -143,6 +143,38 @@ class TestParseGainsTable:
         assert not ds.has_scores
         assert ds.by_id("B").score is None
 
+    def test_duplicate_id_names_line(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("id,g,r\na,1,0.1\nb,2,0.2\na,3,0.3\n")
+        with pytest.raises(InputError, match=r"line 4.*'a'"):
+            parse_gains_table(p)
+
+    def test_negative_score_names_line(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("id,score,g,r\na,5,1,0.1\nb,-2,2,0.2\n")
+        with pytest.raises(InputError, match=r"line 3: negative score for 'b'"):
+            parse_gains_table(p)
+
+    def test_first_faulty_line_wins(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("id,g,r\na,1,0.1\na,2,0.2\nb,oops,0.3\n")
+        with pytest.raises(InputError, match=r"line 3: duplicate"):
+            parse_gains_table(p)
+
+    def test_row_semantics(self, tmp_path):
+        # blank lines skipped, extra cells ignored, a repeated name reads its last column
+        p = tmp_path / "g.csv"
+        p.write_text("id,g,r,G\n\na,1,0.1,7,extra\n\nb,2,0.2,8\n")
+        ds = parse_gains_table(p)
+        assert ds.ids == ("a", "b")
+        assert ds.g.tolist() == [7.0, 8.0]
+
+    def test_short_row_reads_missing_fields_as_empty(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("id,g,r\na,1,0.1\nb,2\n")
+        with pytest.raises(InputError, match=r"^line 3, column r: cannot parse number ''$"):
+            parse_gains_table(p)
+
     @given(x=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_percent_equals_hundredth(self, tmp_path_factory, x):
         p = tmp_path_factory.mktemp("pct") / "g.csv"

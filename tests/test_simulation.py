@@ -36,6 +36,11 @@ class TestSamplePowerLaw:
         with pytest.raises(InputError, match="cutoffs"):
             sample_power_law(10, 1.0, -1.0, 5.0, seed=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_alpha_rejected(self, alpha):
+        with pytest.raises(InputError, match="alpha must be finite and > 0"):
+            sample_power_law(10, alpha, 1.0, 5.0, seed=0)
+
     def test_ccdf_slope_matches_exponent(self):
         # log-log slope of the tail over the decade [10, 1e4] should be ~ -alpha
         x = sample_power_law(100_000, alpha=1.0, x_min=1.0, x_max=1e6, seed=42)
@@ -59,6 +64,7 @@ class TestStudyConfig:
             (dict(n=100, trials=1, alpha=math.nan), "alpha"),
             (dict(n=100, trials=1, alpha=0.0), "alpha"),
             (dict(n=100, trials=1, seed=-1), "seed"),
+            (dict(n=100, trials=1, alpha=math.inf), "alpha"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs, match):

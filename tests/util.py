@@ -47,6 +47,18 @@ def naive_max_window(n, pos, dominated_positions) -> tuple[int, int]:
     return best
 
 
+def naive_system(records) -> list[tuple]:
+    """(id, score, g, r, rank) rows in rank order, as the record contract defines them.
+
+    Ranked by descending score, ties by ascending id, when every record has a
+    score; otherwise the input order is kept.
+    """
+    rows = [(rec[0], None, *rec[1:]) if len(rec) == 3 else tuple(rec) for rec in records]
+    if rows and all(row[1] is not None for row in rows):
+        rows.sort(key=lambda row: (-row[1], row[0]))
+    return [(*row, rank) for rank, row in enumerate(rows, start=1)]
+
+
 STYLES = ("continuous", "grid", "negative", "mixed")
 
 
