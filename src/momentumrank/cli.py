@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage or input error, 1 internal failure. stdout
-carries exactly the report; diagnostics go to stderr.
+carries exactly the report; diagnostics go to stderr. With ``--debug`` an
+internal failure is re-raised with its traceback.
 """
 from __future__ import annotations
 
@@ -116,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="momentumrank",
         description="Rank changing entities by momentum via Pareto ordering of absolute and relative gains.",
     )
+    parser.add_argument("--debug", action="store_true", help="re-raise internal errors with their traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("leaders", help="compute momentum leaders (the Pareto frontier)")
@@ -171,5 +173,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure
+        if args.debug:
+            raise
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -59,18 +59,72 @@ class LeaderRow(NamedTuple):
     dominated: int
 
 
-def leader_mask(g: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Boolean mask of maximal elements for paired gain arrays.
+_SAMPLE = 512  # points in the strided sample whose staircase screens the input
 
-    Entities tied on g are grouped: each group member is compared against the
-    running maximum of r accumulated over strictly greater g only, so ties
-    never create dominance. An entity is a leader iff that running maximum
-    does not strictly exceed its own r.
+
+def leader_mask(g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Boolean mask of maximal elements for paired, finite gain arrays.
+
+    An entity is a leader iff no entity has strictly greater g and strictly
+    greater r. Two steps find them:
+
+    1. Screen. The leaders of a strided sample of about ``_SAMPLE`` points
+       form a staircase. One rectangle test against the staircase corner
+       that dominates most of the sample, then one ``searchsorted`` over the
+       staircase with its suffix maximum of r, drop every entity that some
+       staircase point strictly beats in both g and r. Small inputs, and
+       inputs whose sample staircase is too long for the screen to pay,
+       skip it.
+    2. Sort-scan the survivors by descending g (an unstable sort). Entities
+       tied on g form a group, and each member is compared with the running
+       maximum of r over strictly greater g only, so ties never create
+       dominance. A member leads iff that maximum does not strictly exceed
+       its own r. The maximum is over a set, so the order within a group
+       does not matter.
+
+    The screen is exact: each dropped entity is strictly dominated by a
+    real entity, and since dominance is a strict partial order, it is then
+    dominated by some leader too. No leader is ever dropped, so the
+    survivors have the same leaders as the whole input. The cost is about
+    linear when the frontier is small, and O(n log n) plus the screen in
+    the worst case. Inputs must be finite: a NaN breaks both steps.
     """
+    keep = _screen(g, r)
+    if keep is None:
+        return _sort_scan(g, r)
+    mask = np.zeros(len(g), dtype=bool)
+    mask[keep] = _sort_scan(g[keep], r[keep])
+    return mask
+
+
+def _screen(g: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """Positions that no sample staircase point strictly dominates, or None to skip."""
+    n = len(g)
+    if n <= 4 * _SAMPLE:
+        return None
+    sg, sr = g[:: n // _SAMPLE], r[:: n // _SAMPLE]
+    lead = _sort_scan(sg, sr)
+    # the sample's survivor share estimates the input's: past 1/8 the
+    # screen costs more than the sort it saves
+    if np.count_nonzero(lead) > _SAMPLE // 8:
+        return None
+    lg, lr = sg[lead], sr[lead]
+    corner = np.argmax(((sg < lg[:, None]) & (sr < lr[:, None])).sum(axis=1))
+    cand = np.flatnonzero((g >= lg[corner]) | (r >= lr[corner]))
+    order = np.argsort(lg)
+    lg = lg[order]
+    # best_r[k]: the largest r over staircase points k.. in ascending g, so
+    # for an entity it is the largest r among points with strictly greater g
+    best_r = np.append(np.maximum.accumulate(lr[order][::-1])[::-1], -np.inf)
+    beaten = best_r[np.searchsorted(lg, g[cand], side="right")] > r[cand]
+    return cand[~beaten]
+
+
+def _sort_scan(g: np.ndarray, r: np.ndarray) -> np.ndarray:
     n = len(g)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    order = np.lexsort((np.arange(n), -g))
+    order = np.argsort(-g)
     gs = g[order]
     rs = r[order]
     new_group = np.empty(n, dtype=bool)
@@ -80,9 +134,8 @@ def leader_mask(g: np.ndarray, r: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(new_group)
     # max of rs strictly before each group start == max r over strictly greater g
     max_before = np.concatenate(([-np.inf], np.maximum.accumulate(rs)))[starts]
-    sorted_mask = rs >= max_before[group_id]
     mask = np.empty(n, dtype=bool)
-    mask[order] = sorted_mask
+    mask[order] = rs >= max_before[group_id]
     return mask
 
 

@@ -67,16 +67,17 @@ def _snapshot_from_json(text: str, path) -> Snapshot:
 
 
 def _snapshot_from_csv(text: str, path) -> Snapshot:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    reader = csv.reader(io.StringIO(text))
+    first = next(reader, None)
+    if first is None:
         raise InputError(f"{path}: no entities")
-    header = [h.strip().lower() for h in rows[0]]
-    if header != ["id", "score"]:
-        raise InputError(f"{path}: expected header id,score, got {rows[0]!r}")
+    if [h.strip().lower() for h in first] != ["id", "score"]:
+        raise InputError(f"{path}: expected header id,score, got {first!r}")
     scores: dict[str, float] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
+        line_no = reader.line_num
         if len(row) != 2:
             raise InputError(f"line {line_no}: expected 2 fields, got {len(row)}")
         eid = row[0].strip()

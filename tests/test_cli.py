@@ -253,3 +253,22 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["unheard-of"])
     assert excinfo.value.code == 2
+
+
+def test_debug_flag_reraises_internal_errors(capsys, monkeypatch, fixtures_dir):
+    def broken(args):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr("momentumrank.cli.cmd_rank", broken)
+    argv = ["rank", "--gains", str(fixtures_dir / "table2.csv")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "internal error: kernel exploded\n")
+    with pytest.raises(RuntimeError, match="kernel exploded"):
+        main(["--debug", *argv])
+
+
+def test_debug_flag_keeps_input_errors_at_exit_2(capsys, fixtures_dir):
+    code, out, err = run_cli(capsys, "--debug", "leaders", "--gains", str(fixtures_dir / "missing.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

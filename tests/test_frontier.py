@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentumrank import (
     InputError,
@@ -15,9 +17,12 @@ from momentumrank import (
     runners_up,
     verify_bound,
 )
+from momentumrank.frontier import _SAMPLE, _screen, leader_mask
 
 from util import (
     STYLES,
+    brute_leader_mask,
+    lexsort_leader_mask,
     naive_dominated_indices,
     naive_layers,
     naive_leader_indices,
@@ -25,6 +30,53 @@ from util import (
     random_pairs,
     records_from_pairs,
 )
+
+# inputs larger than this reach leader_mask's sample screen
+SCREENED = 4 * _SAMPLE
+
+KERNEL_STYLES = (
+    *STYLES,
+    "wide_grid",
+    "pool",
+    "signed_zeros",
+    "subnormal",
+    "power_law",
+    "antidiagonal",
+    "ascending",
+)
+
+
+def kernel_pairs(rng: np.random.Generator, n: int, style: str) -> tuple[np.ndarray, np.ndarray]:
+    """Finite gain pairs that probe the kernel's screen, ties and sort order."""
+    if style in STYLES:
+        return random_pairs(rng, n, style)
+    if style == "wide_grid":  # ties on g and on r that straddle the sample staircase
+        return rng.integers(-1000, 1001, size=(2, n)).astype(float)
+    if style == "pool":  # every point repeats many times
+        pool = rng.normal(size=(2, max(1, n // 20)))
+        return pool[:, rng.integers(0, pool.shape[1], size=n)]
+    if style in ("signed_zeros", "subnormal"):  # the top value is 0.0 or -0.0
+        g, r = rng.integers(-40, 1, size=(2, n)).astype(float)
+        g[(g == 0) & (rng.random(n) < 0.5)] = -0.0
+        r[(r == 0) & (rng.random(n) < 0.5)] = -0.0
+        return (g, r) if style == "signed_zeros" else (g * 5e-324, r * 5e-324)
+    if style == "power_law":  # the study's regime: tiny frontier, heavy tails
+        return (1.0 - rng.random((2, n))) ** -1.0
+    x = rng.permutation(n).astype(float)
+    if style == "antidiagonal":  # every point leads
+        return x, -x
+    g = np.sort(rng.normal(size=n))  # ascending g: the sample's best points come last
+    return g, rng.normal(size=n)
+
+
+@st.composite
+def kernel_inputs(draw):
+    n = draw(st.one_of(st.integers(1, 40), st.integers(SCREENED - 50, 6000)))
+    style = draw(st.sampled_from(KERNEL_STYLES))
+    g, r = kernel_pairs(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, style)
+    if draw(st.booleans()):
+        g, r = -r, -g  # reflect: the minimal points become the leaders
+    return np.ascontiguousarray(g), np.ascontiguousarray(r)
 
 
 def ranks_of(ds, ids):
@@ -111,6 +163,34 @@ class TestFrontier:
             for e in leaders:
                 for f in leaders:
                     assert not dominates(e, f)
+
+
+class TestLeaderMask:
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_inputs())
+    def test_matches_lexsort_kernel_and_brute_force(self, pairs):
+        g, r = pairs
+        mask = leader_mask(g, r)
+        assert np.array_equal(mask, lexsort_leader_mask(g, r))
+        assert np.array_equal(mask, brute_leader_mask(g, r))
+
+    @pytest.mark.parametrize("style", KERNEL_STYLES)
+    def test_screened_inputs_match_brute_force(self, style):
+        rng = np.random.default_rng([61, KERNEL_STYLES.index(style)])
+        for n in (SCREENED + 1, 5000):
+            g, r = kernel_pairs(rng, n, style)
+            mask = leader_mask(g, r)
+            assert np.array_equal(mask, brute_leader_mask(g, r))
+            assert np.array_equal(mask, lexsort_leader_mask(g, r))
+
+    def test_screen_drops_the_bulk_of_a_small_frontier_input(self):
+        g, r = kernel_pairs(np.random.default_rng(71), 20_000, "power_law")
+        kept = _screen(g, r)
+        assert kept is not None and len(kept) < 1_000
+        assert np.array_equal(np.flatnonzero(leader_mask(g, r)), np.flatnonzero(brute_leader_mask(g, r)))
+
+    def test_empty_input(self):
+        assert leader_mask(np.zeros(0), np.zeros(0)).tolist() == []
 
 
 class TestDominatedSet:
@@ -283,6 +363,14 @@ class TestRunnersUp:
             ds = build_delta_system(records_from_pairs(g, r))
             expected = [tuple(ds.entities[i].id for i in layer) for layer in naive_layers(list(zip(g, r)), 6)]
             assert runners_up(ds, 6) == expected
+
+    @pytest.mark.parametrize("style", ["continuous", "negative", "mixed", "pool", "power_law", "ascending"])
+    def test_matches_naive_peeling_above_screen_threshold(self, style):
+        rng = np.random.default_rng([67, KERNEL_STYLES.index(style)])
+        g, r = kernel_pairs(rng, SCREENED + 500, style)
+        ds = build_delta_system(records_from_pairs(g, r))
+        expected = [tuple(ds.entities[i].id for i in layer) for layer in naive_layers(list(zip(g, r)), 4)]
+        assert runners_up(ds, 4) == expected
 
     def test_invalid_layer_count(self, abcd):
         with pytest.raises(InputError):

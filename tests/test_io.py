@@ -79,6 +79,12 @@ class TestParseSnapshot:
         with pytest.raises(InputError, match="line 2"):
             parse_snapshot(p)
 
+    def test_line_numbers_count_lines_inside_quoted_ids(self, tmp_path):
+        p = tmp_path / "snap.csv"
+        p.write_text('id,score\n"a\nb",1\nc,x\n')
+        with pytest.raises(InputError, match=r"^line 4, column score"):
+            parse_snapshot(p)
+
     def test_wrong_header(self, tmp_path):
         p = tmp_path / "snap.csv"
         p.write_text("entity,value\nA,1\n")

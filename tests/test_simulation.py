@@ -17,7 +17,7 @@ from momentumrank import (
 from momentumrank.frontier import leader_mask
 from momentumrank.simulation import bound_estimate, nearest_rank_percentile
 
-from util import records_from_pairs
+from util import record_count_pmf, records_from_pairs
 
 
 class TestSamplePowerLaw:
@@ -136,6 +136,38 @@ class TestRunStudy:
         denom = (math.log10(5000) + 1) ** 2
         for p, value in result.percentile_values.items():
             assert result.fitted_c[p] == pytest.approx(value / denom)
+
+    @pytest.mark.parametrize(
+        "config, sizes",
+        [
+            (
+                StudyConfig(n=20_000, trials=20, seed=7),
+                (12, 10, 10, 10, 17, 11, 9, 10, 9, 7, 14, 5, 10, 11, 17, 9, 8, 11, 11, 13),
+            ),
+            (StudyConfig(n=50_000, trials=5, seed=3), (10, 21, 7, 13, 8)),
+        ],
+    )
+    def test_seeded_sizes_pinned_at_benchmark_scale(self, config, sizes):
+        # written by the lexsort kernel that preceded the sample screen
+        assert run_study(config).sizes == sizes
+
+    def test_matches_exact_record_count_law(self):
+        # with continuous, independent marginals the leader count has the law
+        # of the record count of a random permutation: a sum of Bernoulli(1/k)
+        n = 20_000
+        pmf = record_count_pmf(n)
+        cdf = np.cumsum(pmf)
+        exact = {p: int(np.searchsorted(cdf, p / 100)) for p in (95.0, 99.0)}
+        assert exact == {95.0: 16, 99.0: 18}
+        k = np.arange(len(pmf))
+        mean = float(k @ pmf)
+        assert mean == pytest.approx(math.fsum(1 / j for j in range(1, n + 1)), rel=1e-12)
+        sd = math.sqrt(float((k - mean) ** 2 @ pmf))
+
+        result = run_study(StudyConfig(n=n, trials=500, seed=7))
+        assert result.percentile_values == exact
+        sample_mean = sum(result.sizes) / len(result.sizes)
+        assert abs(sample_mean - mean) <= 4 * sd / math.sqrt(len(result.sizes))
 
     def test_trial_order_does_not_matter(self):
         config = StudyConfig(n=800, trials=12, seed=29)

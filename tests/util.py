@@ -59,6 +59,53 @@ def naive_system(records) -> list[tuple]:
     return [(*row, rank) for rank, row in enumerate(rows, start=1)]
 
 
+def lexsort_leader_mask(g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The sort-and-scan kernel as it stood before the screen: a stable lexsort of all n."""
+    n = len(g)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    order = np.lexsort((np.arange(n), -g))
+    gs = g[order]
+    rs = r[order]
+    new_group = np.empty(n, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = gs[1:] != gs[:-1]
+    group_id = np.cumsum(new_group) - 1
+    starts = np.flatnonzero(new_group)
+    # max of rs strictly before each group start == max r over strictly greater g
+    max_before = np.concatenate(([-np.inf], np.maximum.accumulate(rs)))[starts]
+    sorted_mask = rs >= max_before[group_id]
+    mask = np.empty(n, dtype=bool)
+    mask[order] = sorted_mask
+    return mask
+
+
+def brute_leader_mask(g: np.ndarray, r: np.ndarray, chunk: int = 512) -> np.ndarray:
+    """All-pairs numpy check, a block of rows at a time: i leads iff no j beats it in both."""
+    mask = np.empty(len(g), dtype=bool)
+    for lo in range(0, len(g), chunk):
+        gi, ri = g[lo : lo + chunk, None], r[lo : lo + chunk, None]
+        mask[lo : lo + chunk] = ~((g > gi) & (r > ri)).any(axis=1)
+    return mask
+
+
+def record_count_pmf(n: int, terms: int = 100) -> np.ndarray:
+    """P(K = k) for k < ``terms``, K the number of records in a random permutation of n.
+
+    K is a sum of independent Bernoulli(1/k), k = 1..n (Renyi 1962), and it
+    is also the leader count of n points with continuous, independent
+    coordinates. Convolving one Bernoulli at a time and dropping the mass at
+    or above ``terms`` loses less than 1e-30 for n up to 10**6.
+    """
+    pmf = np.zeros(terms)
+    pmf[0] = 1.0
+    for k in range(1, n + 1):
+        p = 1.0 / k
+        pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
+        pmf[0] *= 1.0 - p
+    return pmf
+
+
 STYLES = ("continuous", "grid", "negative", "mixed")
 
 
