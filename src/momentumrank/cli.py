@@ -15,6 +15,8 @@ from .io import FORMATS, parse_gains_table, parse_leaders_table, parse_snapshot,
 from .ranking import compare_systems, momentousness, rank_leaders
 from .simulation import StudyConfig, run_study
 
+_WARNINGS_SHOWN = 10  # exclusion warnings printed one per line; the rest are counted
+
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gains", metavar="PATH", help="pre-diffed gains table (id[,score],g,r)")
@@ -43,8 +45,10 @@ def _load_system(args: argparse.Namespace) -> DeltaSystem:
     before = parse_snapshot(args.before)
     after = parse_snapshot(args.after)
     system, warnings = derive_from_snapshots(before, after, args.mode.replace("-", "_"))
-    for message in warnings:
+    for message in warnings[:_WARNINGS_SHOWN]:
         print(f"warning: {message}", file=sys.stderr)
+    if len(warnings) > _WARNINGS_SHOWN:
+        print(f"warning: {len(warnings) - _WARNINGS_SHOWN} more entities excluded", file=sys.stderr)
     return system
 
 

@@ -204,14 +204,14 @@ def interval(ds: DeltaSystem, entity_id: str) -> tuple[int, int]:
 
 
 def moving_maxima(values: Sequence[float]) -> MovingMaxima:
-    """Positions (1-based) holding a value strictly larger than all earlier ones."""
-    indices: list[int] = []
-    best = -math.inf
-    for pos, value in enumerate(values, start=1):
-        if value > best:
-            indices.append(pos)
-            best = value
-    return MovingMaxima(indices=tuple(indices))
+    """Positions (1-based) holding a value strictly larger than all earlier ones.
+
+    A NaN is never a new maximum and does not raise the running maximum.
+    """
+    v = np.asarray(values, dtype=float)
+    # fmax skips NaN, so best[i] is the largest non-NaN value before position i
+    best = np.fmax.accumulate(np.concatenate(([-math.inf], v)))[:-1]
+    return MovingMaxima(indices=tuple((np.flatnonzero(v > best) + 1).tolist()))
 
 
 def verify_bound(ds: DeltaSystem) -> BoundCheck:
@@ -225,7 +225,7 @@ def verify_bound(ds: DeltaSystem) -> BoundCheck:
     if not ds.n:
         return BoundCheck(0, 0, True)
     by_gain = np.argsort(-ds.g, kind="stable")
-    count = moving_maxima(ds.r[by_gain].tolist()).count
+    count = moving_maxima(ds.r[by_gain]).count
     size = int(leader_mask(ds.g, ds.r).sum())
     return BoundCheck(size, count, size <= count)
 

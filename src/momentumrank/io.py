@@ -12,7 +12,7 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import DeltaSystem, InputError, Snapshot, _build
 from .frontier import BoundCheck, FrontierResult, leader_row
@@ -182,7 +182,7 @@ def _json_document(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _csv_document(header: list[str], rows: Iterable[list]) -> str:
+def _csv_document(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -191,7 +191,7 @@ def _csv_document(header: list[str], rows: Iterable[list]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _markdown_table(header: list[str], rows: Iterable[list]) -> str:
+def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     def cell(value) -> str:
         return _fmt_human(value).replace("|", "\\|")
 
@@ -204,173 +204,132 @@ def _markdown_table(header: list[str], rows: Iterable[list]) -> str:
     return "\n".join(lines)
 
 
-def _frontier_rows(result: FrontierResult) -> list[list]:
+class _Report(NamedTuple):
+    """One result in all three formats.
+
+    ``payload`` is the JSON document and ``header`` with ``rows`` the CSV
+    table. ``markdown`` lists blocks, joined by a blank line; a block is
+    text or a ``(header, rows)`` table.
+    """
+
+    payload: object
+    header: Sequence[str]
+    rows: Sequence[Sequence]
+    markdown: list
+
+
+def _frontier_report(result: FrontierResult, layers) -> _Report:
+    header = ["id", "rank", "g", "r", "w", "interval", "|D(m)|"]
     rows = []
     for leader_id in result.leaders:
         e, w, (lo, hi), dominated = leader_row(result.system, leader_id)
         rows.append([e.id, e.rank, e.g, e.r, w, f"{lo}..{hi}", dominated])
-    return rows
+    payload = {
+        "algorithm": result.algorithm,
+        "window": result.system.window,
+        "n": result.system.n,
+        "leaders": [dict(zip(["id", "rank", "g", "r", "w", "interval", "dominated"], row)) for row in rows],
+    }
+    markdown = [(header, rows)]
+    if layers is None:
+        return _Report(payload, header, rows, markdown)
+    payload["layers"] = [list(layer) for layer in layers]
+    flat = [[1, *row] for row in rows]
+    trailer = []
+    for depth, layer in enumerate(layers[1:], start=2):
+        for leader_id in layer:
+            e = result.system.by_id(leader_id)
+            flat.append([depth, e.id, e.rank, e.g, e.r, None, None, None])
+        trailer.append(f"Layer {depth}: {', '.join(layer)}")
+    if trailer:
+        markdown.append("\n".join(trailer))
+    return _Report(payload, ["layer", *header], flat, markdown)
 
 
-def _frontier_report(result: FrontierResult, fmt: str, layers) -> str:
-    header = ["id", "rank", "g", "r", "w", "interval", "|D(m)|"]
-    rows = _frontier_rows(result)
-    if fmt == "json":
-        payload = {
-            "algorithm": result.algorithm,
-            "window": result.system.window,
-            "n": result.system.n,
-            "leaders": [dict(zip(["id", "rank", "g", "r", "w", "interval", "dominated"], row)) for row in rows],
-        }
-        if layers is not None:
-            payload["layers"] = [list(layer) for layer in layers]
-        return _json_document(payload)
-    if fmt == "csv":
-        if layers is None:
-            return _csv_document(header, rows)
-        flat = [[1, *row] for row in rows]
-        for depth, layer in enumerate(layers[1:], start=2):
-            for leader_id in layer:
-                e = result.system.by_id(leader_id)
-                flat.append([depth, e.id, e.rank, e.g, e.r, None, None, None])
-        return _csv_document(["layer", *header], flat)
-    doc = _markdown_table(header, rows)
-    if layers is not None and len(layers) > 1:
-        extra = []
-        for depth, layer in enumerate(layers[1:], start=2):
-            names = ", ".join(layer)
-            extra.append(f"Layer {depth}: {names}")
-        doc += "\n\n" + "\n".join(extra)
-    return doc
-
-
-def _ranking_report(ranking: LeaderRanking, fmt: str) -> str:
+def _ranking_report(ranking: LeaderRanking) -> _Report:
     header = ["id", "w", "r"]
-    rows = [[eid, w, r] for eid, w, r in ranking.entries]
-    if fmt == "json":
-        return _json_document({"leaders": [dict(zip(header, row)) for row in rows]})
-    if fmt == "csv":
-        return _csv_document(header, rows)
-    return _markdown_table(header, rows)
+    rows = ranking.entries
+    return _Report({"leaders": [dict(zip(header, row)) for row in rows]}, header, rows, [(header, rows)])
 
 
-def _momentousness_report(score: MomentousnessScore, fmt: str) -> str:
+def _momentousness_report(score: MomentousnessScore) -> _Report:
     header = ["id", "r", "w", "r*w"]
-    if fmt == "json":
-        return _json_document(
-            {
-                "value": score.value,
-                "terms": [dict(zip(header, term)) for term in score.terms],
-            }
-        )
-    if fmt == "csv":
-        rows = [list(term) for term in score.terms]
-        rows.append(["TOTAL", None, None, score.value])
-        return _csv_document(header, rows)
-    table = _markdown_table(header, [list(t) for t in score.terms])
-    return f"{table}\n\nmomentousness: {_fmt_human(score.value)}"
+    payload = {"value": score.value, "terms": [dict(zip(header, term)) for term in score.terms]}
+    markdown = [(header, score.terms), f"momentousness: {_fmt_human(score.value)}"]
+    return _Report(payload, header, [*score.terms, ("TOTAL", None, None, score.value)], markdown)
 
 
-def _comparison_report(comparison: SystemComparison, fmt: str) -> str:
-    if fmt == "json":
-        return _json_document(
-            {
-                "a": comparison.a.value,
-                "b": comparison.b.value,
-                "verdict": comparison.verdict,
-            }
-        )
-    if fmt == "csv":
-        return _csv_document(
-            ["system", "momentousness"],
-            [["a", comparison.a.value], ["b", comparison.b.value], ["verdict", comparison.verdict]],
-        )
-    a, b = comparison.a.value, comparison.b.value
-    if comparison.verdict == "equal":
+def _comparison_report(comparison: SystemComparison) -> _Report:
+    a, b, verdict = comparison.a.value, comparison.b.value, comparison.verdict
+    if verdict == "equal":
         line = f"equally momentous ({_fmt_human(a)} = {_fmt_human(b)})"
-    elif comparison.verdict == "a":
+    elif verdict == "a":
         line = f"A more momentous ({_fmt_human(a)} > {_fmt_human(b)})"
     else:
         line = f"B more momentous ({_fmt_human(b)} > {_fmt_human(a)})"
-    return f"momentousness A: {_fmt(a)}\nmomentousness B: {_fmt(b)}\n{line}"
-
-
-def _study_report(result: StudyResult, fmt: str) -> str:
-    cfg = result.config
-    if fmt == "csv":
-        return _csv_document(["trial", "size"], [[i, s] for i, s in enumerate(result.sizes)])
-    percentiles = {_fmt(float(p)): v for p, v in result.percentile_values.items()}
-    fitted = {_fmt(float(p)): c for p, c in result.fitted_c.items()}
-    bounds = {"1/3": result.bound_values[1 / 3], "1/2": result.bound_values[1 / 2]}
-    if fmt == "json":
-        return _json_document(
-            {
-                "config": {
-                    "n": cfg.n,
-                    "trials": cfg.trials,
-                    "seed": cfg.seed,
-                    "alpha": cfg.alpha,
-                    "x_min": cfg.x_min,
-                    "x_max": cfg.resolved_x_max,
-                    "percentiles": list(cfg.percentiles),
-                },
-                "percentiles": percentiles,
-                "bounds": bounds,
-                "fitted_c": fitted,
-            }
-        )
-    rows = [[p, v, fitted[p]] for p, v in percentiles.items()]
-    table = _markdown_table(["percentile", "size", "fitted c"], rows)
-    bound_line = ", ".join(f"c={k}: {_fmt_human(v)}" for k, v in bounds.items())
-    return (
-        f"n={cfg.n} trials={cfg.trials} seed={cfg.seed}\n\n"
-        f"{table}\n\nbound c*(log10(n)+1)^2 -> {bound_line}"
+    return _Report(
+        {"a": a, "b": b, "verdict": verdict},
+        ["system", "momentousness"],
+        [["a", a], ["b", b], ["verdict", verdict]],
+        [f"momentousness A: {_fmt(a)}\nmomentousness B: {_fmt(b)}\n{line}"],
     )
 
 
-def _bound_report(check: BoundCheck, fmt: str) -> str:
-    if fmt == "json":
-        return _json_document(
-            {
-                "frontier_size": check.frontier_size,
-                "moving_maxima_count": check.moving_maxima_count,
-                "holds": check.holds,
-            }
-        )
-    if fmt == "csv":
-        return _csv_document(
-            ["frontier_size", "moving_maxima_count", "holds"],
-            [[check.frontier_size, check.moving_maxima_count, check.holds]],
-        )
-    return (
+def _study_report(result: StudyResult) -> _Report:
+    cfg = result.config
+    percentiles = {_fmt(float(p)): v for p, v in result.percentile_values.items()}
+    fitted = {_fmt(float(p)): c for p, c in result.fitted_c.items()}
+    bounds = {"1/3": result.bound_values[1 / 3], "1/2": result.bound_values[1 / 2]}
+    payload = {
+        "config": {
+            "n": cfg.n,
+            "trials": cfg.trials,
+            "seed": cfg.seed,
+            "alpha": cfg.alpha,
+            "x_min": cfg.x_min,
+            "x_max": cfg.resolved_x_max,
+            "percentiles": list(cfg.percentiles),
+        },
+        "percentiles": percentiles,
+        "bounds": bounds,
+        "fitted_c": fitted,
+    }
+    table = (["percentile", "size", "fitted c"], [[p, v, fitted[p]] for p, v in percentiles.items()])
+    bound_line = ", ".join(f"c={k}: {_fmt_human(v)}" for k, v in bounds.items())
+    return _Report(
+        payload,
+        ["trial", "size"],
+        [[i, s] for i, s in enumerate(result.sizes)],
+        [f"n={cfg.n} trials={cfg.trials} seed={cfg.seed}", table, f"bound c*(log10(n)+1)^2 -> {bound_line}"],
+    )
+
+
+def _bound_report(check: BoundCheck) -> _Report:
+    text = (
         f"frontier size: {check.frontier_size}\n"
         f"moving maxima: {check.moving_maxima_count}\n"
         f"bound holds: {str(check.holds).lower()}"
     )
+    return _Report(check._asdict(), check._fields, [check], [text])
 
 
-def _system_report(ds: DeltaSystem, fmt: str) -> str:
+def _system_report(ds: DeltaSystem) -> _Report:
     scores = [None if math.isnan(s) else s for s in ds.score.tolist()]
     columns = (ds.ids, scores, ds.g.tolist(), ds.r.tolist())
-    if fmt == "json":
-        return _json_document(
-            {
-                "window": ds.window,
-                "total_score": ds.total_score,
-                "has_scores": ds.has_scores,
-                "entities": [
-                    {"id": eid, "rank": rank, "score": score, "g": g, "r": r}
-                    for rank, (eid, score, g, r) in enumerate(zip(*columns), start=1)
-                ],
-            }
-        )
+    payload = {
+        "window": ds.window,
+        "total_score": ds.total_score,
+        "has_scores": ds.has_scores,
+        "entities": [
+            {"id": eid, "rank": rank, "score": score, "g": g, "r": r}
+            for rank, (eid, score, g, r) in enumerate(zip(*columns), start=1)
+        ],
+    }
     if any(s is not None for s in scores):
-        header, rows = ["id", "score", "g", "r"], zip(*columns)
+        header, rows = ["id", "score", "g", "r"], list(zip(*columns))
     else:
-        header, rows = ["id", "g", "r"], zip(ds.ids, *columns[2:])
-    if fmt == "csv":
-        return _csv_document(header, rows)
-    return _markdown_table(header, rows)
+        header, rows = ["id", "g", "r"], list(zip(ds.ids, *columns[2:]))
+    return _Report(payload, header, rows, [(header, rows)])
 
 
 def write_report(result, fmt: str = "markdown", *, layers=None) -> str:
@@ -378,17 +337,23 @@ def write_report(result, fmt: str = "markdown", *, layers=None) -> str:
     if fmt not in FORMATS:
         raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
     if isinstance(result, FrontierResult):
-        return _frontier_report(result, fmt, layers)
-    if isinstance(result, LeaderRanking):
-        return _ranking_report(result, fmt)
-    if isinstance(result, MomentousnessScore):
-        return _momentousness_report(result, fmt)
-    if isinstance(result, SystemComparison):
-        return _comparison_report(result, fmt)
-    if isinstance(result, StudyResult):
-        return _study_report(result, fmt)
-    if isinstance(result, BoundCheck):
-        return _bound_report(result, fmt)
-    if isinstance(result, DeltaSystem):
-        return _system_report(result, fmt)
-    raise InputError(f"no report writer for {type(result).__name__}")
+        report = _frontier_report(result, layers)
+    elif isinstance(result, LeaderRanking):
+        report = _ranking_report(result)
+    elif isinstance(result, MomentousnessScore):
+        report = _momentousness_report(result)
+    elif isinstance(result, SystemComparison):
+        report = _comparison_report(result)
+    elif isinstance(result, StudyResult):
+        report = _study_report(result)
+    elif isinstance(result, BoundCheck):
+        report = _bound_report(result)
+    elif isinstance(result, DeltaSystem):
+        report = _system_report(result)
+    else:
+        raise InputError(f"no report writer for {type(result).__name__}")
+    if fmt == "json":
+        return _json_document(report.payload)
+    if fmt == "csv":
+        return _csv_document(report.header, report.rows)
+    return "\n\n".join(b if isinstance(b, str) else _markdown_table(*b) for b in report.markdown)

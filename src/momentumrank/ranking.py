@@ -19,12 +19,10 @@ from .frontier import frontier_sortscan, leader_row
 class LeaderRanking:
     """Leaders as (id, w, r) rows, heaviest dominated weight first.
 
-    Ties on w break by r descending, then id ascending. Weighting always
-    needs base scores, recorded by ``requires_scores``.
+    Ties on w break by r descending, then id ascending.
     """
 
     entries: tuple[tuple[str, float, float], ...]
-    requires_scores: bool = True
 
     @property
     def leader_ids(self) -> tuple[str, ...]:

@@ -193,6 +193,19 @@ def test_snapshot_flow_warns_on_stderr_only(capsys, tmp_path):
     assert [row["id"] for row in payload["leaders"]] == ["A"]
 
 
+def test_snapshot_exclusion_warnings_collapse_after_ten(capsys, tmp_path):
+    before = tmp_path / "before.csv"
+    after = tmp_path / "after.csv"
+    before.write_text("id,score\nA,100\n" + "".join(f"gone{i:02d},5\n" for i in range(25)))
+    after.write_text("id,score\nA,110\n")
+    code, out, err = run_cli(capsys, "leaders", "--before", str(before), "--after", str(after))
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 11
+    assert all("only in the before snapshot" in line for line in lines[:10])
+    assert lines[-1] == "warning: 15 more entities excluded"
+
+
 def test_share_delta_mode_flag(capsys, tmp_path):
     before = tmp_path / "before.csv"
     after = tmp_path / "after.csv"

@@ -27,6 +27,7 @@ from util import (
     naive_layers,
     naive_leader_indices,
     naive_max_window,
+    naive_moving_maxima,
     random_pairs,
     records_from_pairs,
 )
@@ -278,6 +279,21 @@ class TestMovingMaxima:
 
     def test_ties_do_not_count(self):
         assert moving_maxima([2, 2, 2]).indices == (1,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan, math.inf, -math.inf]),
+                st.integers(-5, 5),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_running_maximum_loop(self, values):
+        assert moving_maxima(values).indices == naive_moving_maxima(values)
+        assert moving_maxima(np.asarray(values, dtype=float)).indices == naive_moving_maxima(values)
 
     def test_table2_relative_gains_by_gain_order(self, table2):
         ordered = sorted(table2.entities, key=lambda e: (-e.g, e.rank))

@@ -5,6 +5,8 @@ plain loops so they stay independent of the package code they check.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -45,6 +47,17 @@ def naive_max_window(n, pos, dominated_positions) -> tuple[int, int]:
                 if hi - lo > best[1] - best[0]:
                     best = (lo, hi)
     return best
+
+
+def naive_moving_maxima(values) -> tuple[int, ...]:
+    """1-based positions of new strict maxima, by a plain running-maximum loop."""
+    indices = []
+    best = -math.inf
+    for pos, value in enumerate(values, start=1):
+        if value > best:
+            indices.append(pos)
+            best = value
+    return tuple(indices)
 
 
 def naive_system(records) -> list[tuple]:
