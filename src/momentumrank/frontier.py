@@ -218,16 +218,21 @@ def verify_bound(ds: DeltaSystem) -> BoundCheck:
     """Compare frontier size against the moving-maxima count of r.
 
     The r sequence is taken in descending-g order (rank breaks g ties).
-    With strictly distinct g the frontier can never outgrow the count, and
-    with distinct r as well the two are equal; with tied g the comparison is
-    still computed but may legitimately fail.
+    Every new maximum of r is a leader, since an entity that some f
+    strictly dominates follows f in that order and has smaller r. So the
+    count never exceeds the frontier size, and ``holds`` (size <= count)
+    means the two are equal: no leader ties the running maximum of r.
+    That is always so with distinct g and distinct r; with ties in either,
+    a leader can tie it (g=[3, 2], r=[1, 1] gives size 2 and count 1).
+
+    Only the leaders are scanned. A non-leader never changes the count: it
+    is not a new maximum, and the leader that dominates it comes earlier
+    with larger r, so it never raises the running maximum either.
     """
-    if not ds.n:
-        return BoundCheck(0, 0, True)
-    by_gain = np.argsort(-ds.g, kind="stable")
+    lead = np.flatnonzero(leader_mask(ds.g, ds.r))
+    by_gain = lead[np.argsort(-ds.g[lead], kind="stable")]
     count = moving_maxima(ds.r[by_gain]).count
-    size = int(leader_mask(ds.g, ds.r).sum())
-    return BoundCheck(size, count, size <= count)
+    return BoundCheck(lead.size, count, lead.size <= count)
 
 
 def runners_up(ds: DeltaSystem, layers: int) -> list[tuple[str, ...]]:

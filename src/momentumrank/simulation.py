@@ -75,10 +75,18 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _inverse_cdf(u: np.ndarray, alpha: float, x_min: float, x_max: float) -> np.ndarray:
-    # truncated Pareto with density ~ x^-(alpha+1) on [x_min, x_max]
+    """Map uniform draws ``u`` to the law in place and return ``u``.
+
+    The truncated Pareto law has density ~ x^-(alpha+1) on [x_min, x_max].
+    The in-place steps are the operations of ``(lo - u * (lo - hi)) **
+    (-1 / alpha)`` in the same order, so the values have the same bits.
+    """
     lo = x_min ** -alpha
     hi = x_max ** -alpha
-    return (lo - u * (lo - hi)) ** (-1.0 / alpha)
+    u *= lo - hi
+    np.subtract(lo, u, out=u)
+    u **= -1.0 / alpha
+    return u
 
 
 def sample_power_law(count: int, alpha: float, x_min: float, x_max: float, seed) -> np.ndarray:
@@ -95,18 +103,38 @@ def _trial_rng(config: StudyConfig, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((config.seed, trial_index)))
 
 
-def trial_gains(config: StudyConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The independent (g, r) marginals of one trial."""
+def trial_gains(
+    config: StudyConfig, trial_index: int, *, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The independent (g, r) marginals of one trial, as the two rows of one buffer.
+
+    ``out``, when given, must be a writable C-contiguous float64 array of
+    shape ``(2, n)``; it is overwritten, and the returned ``g`` and ``r``
+    are views of its rows. Without ``out`` each call fills a fresh buffer,
+    so results of separate calls never alias. One ``random`` call fills
+    both rows: PCG64 spends one 64-bit draw per double, so ``g`` and ``r``
+    are the first and the next ``n`` draws, as from two ``random(n)`` calls.
+    """
+    shape = (2, config.n)
+    if out is None:
+        out = np.empty(shape)
+    elif not (
+        isinstance(out, np.ndarray)
+        and out.shape == shape
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise InputError(f"out must be a writable C-contiguous float64 array of shape {shape}")
     rng = _trial_rng(config, trial_index)
-    x_max = config.resolved_x_max
-    g = _inverse_cdf(rng.random(config.n), config.alpha, config.x_min, x_max)
-    r = _inverse_cdf(rng.random(config.n), config.alpha, config.x_min, x_max)
-    return g, r
+    rng.random(out=out)
+    _inverse_cdf(out, config.alpha, config.x_min, config.resolved_x_max)
+    return out[0], out[1]
 
 
-def run_trial(config: StudyConfig, trial_index: int) -> int:
-    """Frontier size of one simulated system."""
-    g, r = trial_gains(config, trial_index)
+def run_trial(config: StudyConfig, trial_index: int, *, out: np.ndarray | None = None) -> int:
+    """Frontier size of one simulated system; ``out`` is passed to ``trial_gains``."""
+    g, r = trial_gains(config, trial_index, out=out)
     return int(leader_mask(g, r).sum())
 
 
@@ -130,8 +158,13 @@ def bound_estimate(n: int, c: float) -> float:
 
 
 def run_study(config: StudyConfig) -> StudyResult:
-    """Run every trial and aggregate percentiles against the size bound."""
-    sizes = tuple(run_trial(config, i) for i in range(config.trials))
+    """Run every trial and aggregate percentiles against the size bound.
+
+    The trials share one ``(2, n)`` buffer, so the sampling loop allocates
+    no fresh pages per trial.
+    """
+    buf = np.empty((2, config.n))
+    sizes = tuple(run_trial(config, i, out=buf) for i in range(config.trials))
     denom = (math.log10(config.n) + 1) ** 2
     percentile_values = {p: int(nearest_rank_percentile(sizes, p)) for p in config.percentiles}
     return StudyResult(

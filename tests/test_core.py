@@ -160,6 +160,13 @@ class TestColumnarBuild:
         for column in (ds.g, ds.r, ds.score):
             assert column.dtype == np.float64 and not column.flags.writeable
 
+    def test_all_tied_scores_rank_by_id(self):
+        rng = np.random.default_rng(3)
+        records = [(f"id{i}", 7.0, float(g), float(r)) for i, (g, r) in enumerate(rng.random((3000, 2)))]
+        records = [records[i] for i in rng.permutation(len(records))]
+        ds = build_delta_system(records)
+        assert [(e.id, e.score, e.g, e.r, e.rank) for e in ds.entities] == naive_system(records)
+
     def test_earlier_record_fault_wins(self):
         records = [("a", 1.0, 0.1), ("b", math.nan, 0.2), ("a", 2.0, 0.3)]
         with pytest.raises(InputError, match="non-finite g for 'b'"):
@@ -287,6 +294,20 @@ class TestDeriveFromSnapshots:
 def test_snapshot_rejects_negative_scores():
     with pytest.raises(InputError, match="negative"):
         Snapshot("", {"A": -1.0})
+
+
+@pytest.mark.parametrize(
+    "scores, message",
+    [
+        ({"A": 1.0, "B": math.inf, "C": -1.0}, "non-finite score for 'B': inf"),
+        ({"A": -2.0, "B": math.nan}, "negative score for 'A': -2.0"),
+        ({"A": 0.0, "B": -math.inf, "C": math.nan}, "negative score for 'B': -inf"),
+    ],
+)
+def test_snapshot_names_first_faulty_entity(scores, message):
+    with pytest.raises(InputError) as excinfo:
+        Snapshot("", scores)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -22,6 +22,7 @@ from momentumrank.frontier import _SAMPLE, _screen, leader_mask
 from util import (
     STYLES,
     brute_leader_mask,
+    full_sort_bound_count,
     lexsort_leader_mask,
     naive_dominated_indices,
     naive_layers,
@@ -330,12 +331,23 @@ class TestVerifyBound:
 
     def test_tied_gains_checked_without_raising(self):
         ds = build_delta_system([("a", 3.0, 5.0), ("b", 2.0, 5.0)])
-        check = verify_bound(ds)
-        assert check.frontier_size == 2  # equal r never dominates
-        assert isinstance(check.holds, bool)
+        # equal r never dominates, so with distinct g the frontier still
+        # outgrows the count: b leads but is no new maximum
+        assert verify_bound(ds) == (2, 1, False)
 
     def test_empty_system(self):
         assert verify_bound(build_delta_system([])) == (0, 0, True)
+
+    @pytest.mark.parametrize("style", KERNEL_STYLES)
+    def test_count_matches_full_sort_over_all_entities(self, style):
+        rng = np.random.default_rng(KERNEL_STYLES.index(style))
+        for n in [1, 2, 3, 7, 40, 300, SCREENED + 1, 5000]:
+            g, r = kernel_pairs(rng, n, style)
+            ds = build_delta_system(records_from_pairs(g, r, rng.integers(0, 4, n).astype(float)))
+            size, count, holds = verify_bound(ds)
+            assert count == full_sort_bound_count(ds.g, ds.r)
+            assert size == int(brute_leader_mask(ds.g, ds.r).sum())
+            assert count <= size and holds == (size == count)
 
 
 class TestRunnersUp:

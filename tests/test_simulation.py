@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import momentumrank
 from momentumrank import (
     InputError,
     StudyConfig,
@@ -17,7 +24,7 @@ from momentumrank import (
 from momentumrank.frontier import leader_mask
 from momentumrank.simulation import bound_estimate, nearest_rank_percentile
 
-from util import record_count_pmf, records_from_pairs
+from util import alloc_trial_gains, record_count_pmf, records_from_pairs
 
 
 class TestSamplePowerLaw:
@@ -107,6 +114,82 @@ class TestRunTrial:
             order = np.argsort(-g, kind="stable")
             count = moving_maxima(r[order].tolist()).count
             assert run_trial(config, t) <= count
+
+
+class TestTrialGains:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 8.0),
+        x_min=st.floats(1e-3, 1e3),
+        span=st.floats(1.5, 1e6),
+        n=st.integers(2, 400),
+        seed=st.integers(0, 2**32 - 1),
+        trial_index=st.integers(0, 2**31),
+    )
+    def test_matches_allocating_sampler_bit_for_bit(self, alpha, x_min, span, n, seed, trial_index):
+        config = StudyConfig(n=n, trials=1, seed=seed, alpha=alpha, x_min=x_min, x_max=x_min * span)
+        expected = alloc_trial_gains(config, trial_index)
+        buf = np.full((2, n), np.nan)
+        for got in (trial_gains(config, trial_index), trial_gains(config, trial_index, out=buf)):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_rows_are_views_of_out(self):
+        config = StudyConfig(n=50, trials=1, seed=1)
+        buf = np.empty((2, 50))
+        g, r = trial_gains(config, 0, out=buf)
+        assert np.shares_memory(g, buf[0]) and np.shares_memory(r, buf[1])
+        assert run_trial(config, 3, out=buf) == run_trial(config, 3)
+        assert np.array_equal(buf, np.stack(trial_gains(config, 3)))
+
+    def test_calls_without_out_never_alias(self):
+        config = StudyConfig(n=50, trials=1, seed=1)
+        g1, r1 = trial_gains(config, 0)
+        g2, r2 = trial_gains(config, 0)
+        assert not any(np.shares_memory(a, b) for a in (g1, r1) for b in (g2, r2))
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((2, 49)),
+            np.empty((50, 2)),
+            np.empty(100),
+            np.empty((2, 50), dtype=np.float32),
+            np.empty((2, 50), order="F"),
+            np.empty((2, 100))[:, ::2],
+            [[0.0] * 50] * 2,
+        ],
+        ids=["short", "transposed", "flat", "float32", "fortran", "strided", "list"],
+    )
+    def test_wrong_out_rejected(self, out):
+        with pytest.raises(InputError, match="out must be"):
+            trial_gains(StudyConfig(n=50, trials=1), 0, out=out)
+
+    def test_read_only_out_rejected(self):
+        buf = np.empty((2, 50))
+        buf.flags.writeable = False
+        with pytest.raises(InputError, match="out must be"):
+            trial_gains(StudyConfig(n=50, trials=1), 0, out=buf)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux-specific")
+    def test_study_loop_does_not_fault_in_fresh_pages(self):
+        # Four fresh 160 KB arrays per trial cost about 125 minor faults a
+        # trial, 12.5k for this study, because the allocator hands the freed
+        # heap top back to the kernel after each trial. The reused buffer
+        # costs about 50 in all. A fresh interpreter, as the CLI runs in,
+        # keeps the allocator's thresholds of earlier tests out of the count.
+        script = (
+            "import resource\n"
+            "from momentumrank import StudyConfig, run_study\n"
+            "config = StudyConfig(n=20_000, trials=100, seed=1)\n"
+            "run_study(config)\n"  # warm: imports, allocator arenas, numpy caches
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_study(config)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(momentumrank.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 1_000
 
 
 class TestRunStudy:

@@ -60,6 +60,16 @@ def naive_moving_maxima(values) -> tuple[int, ...]:
     return tuple(indices)
 
 
+def full_sort_bound_count(g: np.ndarray, r: np.ndarray) -> int:
+    """Moving maxima of r over all n in descending-g order, ties by position.
+
+    ``verify_bound`` as it counted before scanning the leaders alone: a
+    stable argsort of every entity.
+    """
+    by_gain = np.argsort(-g, kind="stable")
+    return len(naive_moving_maxima(r[by_gain].tolist()))
+
+
 def naive_system(records) -> list[tuple]:
     """(id, score, g, r, rank) rows in rank order, as the record contract defines them.
 
@@ -100,6 +110,22 @@ def brute_leader_mask(g: np.ndarray, r: np.ndarray, chunk: int = 512) -> np.ndar
         gi, ri = g[lo : lo + chunk, None], r[lo : lo + chunk, None]
         mask[lo : lo + chunk] = ~((g > gi) & (r > ri)).any(axis=1)
     return mask
+
+
+def _alloc_inverse_cdf(u: np.ndarray, alpha: float, x_min: float, x_max: float) -> np.ndarray:
+    # truncated Pareto with density ~ x^-(alpha+1) on [x_min, x_max]
+    lo = x_min ** -alpha
+    hi = x_max ** -alpha
+    return (lo - u * (lo - hi)) ** (-1.0 / alpha)
+
+
+def alloc_trial_gains(config, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The study sampler as it stood before the reused buffer: fresh arrays per call."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, trial_index)))
+    x_max = config.resolved_x_max
+    g = _alloc_inverse_cdf(rng.random(config.n), config.alpha, config.x_min, x_max)
+    r = _alloc_inverse_cdf(rng.random(config.n), config.alpha, config.x_min, x_max)
+    return g, r
 
 
 def record_count_pmf(n: int, terms: int = 100) -> np.ndarray:
