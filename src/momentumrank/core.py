@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,12 +45,11 @@ class Snapshot:
     scores: dict[str, float]
 
     def __post_init__(self) -> None:
-        values = np.array(list(self.scores.values()))  # no dtype: a str still raises TypeError
-        bad = np.flatnonzero((values < 0) | ~np.isfinite(values))
-        if bad.size:  # name the first faulty entity, in dict order
-            eid, value = next(islice(self.scores.items(), int(bad[0]), None))
-            fault = "negative" if value < 0 else "non-finite"
-            raise InputError(f"{fault} score for {eid!r}: {value}")
+        for eid, value in self.scores.items():
+            if value < 0:
+                raise InputError(f"negative score for {eid!r}: {value}")
+            if not math.isfinite(value):
+                raise InputError(f"non-finite score for {eid!r}: {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +151,8 @@ def _build(
     _check_columns(ids, missing, score_col, g_col, r_col)
     has_scores = bool(ids) and not missing.any()
     if rank and has_scores:
-        order = _rank_order(ids, score_col)
+        id_order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        order = id_order[np.argsort(-score_col[id_order], kind="stable")]
         ids = list(map(ids.__getitem__, order.tolist()))
         score_col, g_col, r_col = score_col[order], g_col[order], r_col[order]
     for column in (score_col, g_col, r_col):
@@ -167,27 +166,6 @@ def _build(
         total_score=float(sum(s for s in score_col.tolist() if not math.isnan(s))),
         has_scores=has_scores,
     )
-
-
-def _rank_order(ids: list[str], score: np.ndarray) -> np.ndarray:
-    """Positions by descending score, ties by ascending id.
-
-    Sorts by score alone, then sorts ids only among the entities that share
-    a score with a neighbour. Those fill the same slots whatever their
-    order, so one id sort of all of them, followed by a stable score sort,
-    puts every tie group in id order at once.
-    """
-    order = np.argsort(-score)  # tie groups are re-sorted below, so need not be stable
-    ranked = score[order]
-    same = ranked[1:] == ranked[:-1]
-    tied = np.zeros(len(order), dtype=bool)
-    tied[1:] = same
-    tied[:-1] |= same
-    if tied.any():
-        slots = np.flatnonzero(tied)
-        by_id = np.array(sorted(order[slots].tolist(), key=ids.__getitem__), dtype=np.intp)
-        order[slots] = by_id[np.argsort(-score[by_id], kind="stable")]
-    return order
 
 
 def _check_columns(

@@ -132,9 +132,9 @@ def trial_gains(
     return out[0], out[1]
 
 
-def run_trial(config: StudyConfig, trial_index: int, *, out: np.ndarray | None = None) -> int:
-    """Frontier size of one simulated system; ``out`` is passed to ``trial_gains``."""
-    g, r = trial_gains(config, trial_index, out=out)
+def run_trial(config: StudyConfig, trial_index: int) -> int:
+    """Frontier size of one simulated system."""
+    g, r = trial_gains(config, trial_index)
     return int(leader_mask(g, r).sum())
 
 
@@ -160,11 +160,12 @@ def bound_estimate(n: int, c: float) -> float:
 def run_study(config: StudyConfig) -> StudyResult:
     """Run every trial and aggregate percentiles against the size bound.
 
-    The trials share one ``(2, n)`` buffer, so the sampling loop allocates
-    no fresh pages per trial.
+    Each trial counts what ``run_trial`` counts, but draws into one
+    ``(2, n)`` buffer shared by the whole study, so the sampling loop
+    allocates no fresh pages per trial.
     """
     buf = np.empty((2, config.n))
-    sizes = tuple(run_trial(config, i, out=buf) for i in range(config.trials))
+    sizes = tuple(int(leader_mask(*trial_gains(config, i, out=buf)).sum()) for i in range(config.trials))
     denom = (math.log10(config.n) + 1) ** 2
     percentile_values = {p: int(nearest_rank_percentile(sizes, p)) for p in config.percentiles}
     return StudyResult(

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,12 +304,19 @@ def test_snapshot_rejects_negative_scores():
         ({"A": 1.0, "B": math.inf, "C": -1.0}, "non-finite score for 'B': inf"),
         ({"A": -2.0, "B": math.nan}, "negative score for 'A': -2.0"),
         ({"A": 0.0, "B": -math.inf, "C": math.nan}, "negative score for 'B': -inf"),
+        ({"A": 1.0, "B": Fraction(-1, 2)}, "negative score for 'B': -1/2"),
+        ({"A": 1.0, "B": -(2**70)}, "negative score for 'B': -1180591620717411303424"),
     ],
 )
 def test_snapshot_names_first_faulty_entity(scores, message):
     with pytest.raises(InputError) as excinfo:
         Snapshot("", scores)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), Decimal("2.5"), 2**64, 10**30])
+def test_snapshot_accepts_exact_number_scores(value):
+    assert Snapshot("", {"A": 1.0, "B": value}).scores["B"] == value
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
