@@ -39,7 +39,6 @@ from .simulation import (
     bound_estimate,
     run_study,
     run_trial,
-    sample_power_law,
     trial_gains,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "run_study",
     "run_trial",
     "runners_up",
-    "sample_power_law",
     "system_from_entities",
     "trial_gains",
     "verify_bound",

@@ -100,13 +100,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         percentiles = tuple(float(p) for p in args.percentiles.split(","))
     except ValueError:
         raise InputError(f"--percentiles must be a comma-separated number list, got {args.percentiles!r}") from None
-    config = StudyConfig(
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        alpha=args.alpha,
-        percentiles=percentiles,
-    )
+    config = StudyConfig(n=args.n, trials=args.trials, seed=args.seed, percentiles=percentiles)
     print(write_report(run_study(config), args.format))
     return 0
 
@@ -149,11 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("simulate", help="Monte Carlo study of frontier size under power-law gains")
+    p = sub.add_parser("simulate", help="Monte Carlo study of frontier size under independent continuous gains")
     p.add_argument("--n", type=int, required=True, help="entities per trial")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=1.0, help="power-law exponent magnitude")
     p.add_argument("--percentiles", default="95,99", help="comma-separated percentiles in (0,100)")
     _add_format_flag(p)
     p.set_defaults(func=cmd_simulate)

@@ -48,7 +48,11 @@ class Snapshot:
         for eid, value in self.scores.items():
             if value < 0:
                 raise InputError(f"negative score for {eid!r}: {value}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise InputError(f"non-finite score for {eid!r}: an int past the float range") from None
+            if not finite:
                 raise InputError(f"non-finite score for {eid!r}: {value}")
 
 

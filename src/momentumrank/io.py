@@ -52,18 +52,26 @@ def parse_snapshot(path) -> Snapshot:
 
 def _snapshot_from_json(text: str, path) -> Snapshot:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        # objects become tuples of (key, value) pairs, so a repeated id stays visible
+        fields = dict(json.loads(text, object_pairs_hook=tuple))
+    except ValueError as exc:  # also an int literal past Python's digit limit
         raise InputError(f"{path}: invalid JSON: {exc}") from None
-    scores = data.get("scores")
-    if not isinstance(scores, dict) or not scores:
+    scores = fields.get("scores")
+    if not isinstance(scores, tuple) or not scores:
         raise InputError(f"{path}: no entities")
     out = {}
-    for eid, value in scores.items():
+    for eid, value in scores:
+        if not eid.strip():
+            raise InputError(f"{path}: empty entity id")
+        if eid in out:
+            raise InputError(f"{path}: duplicate entity id {eid!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise InputError(f"{path}: score for {eid!r} is not a number")
-        out[str(eid)] = float(value)
-    return Snapshot(timestamp=str(data.get("timestamp", "")), scores=out)
+        try:
+            out[eid] = float(value)
+        except OverflowError:  # an int past the float range rounds to +-inf, as 1e999 does
+            out[eid] = math.inf if value > 0 else -math.inf
+    return Snapshot(timestamp=str(fields.get("timestamp", "")), scores=out)
 
 
 def _snapshot_from_csv(text: str, path) -> Snapshot:
@@ -285,9 +293,6 @@ def _study_report(result: StudyResult) -> _Report:
             "n": cfg.n,
             "trials": cfg.trials,
             "seed": cfg.seed,
-            "alpha": cfg.alpha,
-            "x_min": cfg.x_min,
-            "x_max": cfg.resolved_x_max,
             "percentiles": list(cfg.percentiles),
         },
         "percentiles": percentiles,

@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentumrank import build_delta_system, leader_weight
 from momentumrank.cli import main
 
 from util import STYLES, random_pairs
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -146,14 +155,6 @@ def test_simulate_rejects_bad_percentiles(capsys):
     assert "percentiles" in err
 
 
-def test_simulate_rejects_infinite_alpha(capsys):
-    # every draw would collapse to x_min, making all entities tied leaders
-    code, out, err = run_cli(capsys, "simulate", "--n", "100", "--trials", "2", "--alpha", "inf")
-    assert code == 2
-    assert out == ""
-    assert "alpha" in err
-
-
 def test_duplicate_id_in_gains_table_exits_2_with_line(capsys, tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("id,g,r\na,1,0.1\nb,2,0.2\na,3,0.3\n")
@@ -260,6 +261,124 @@ def test_nan_in_json_snapshot_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "non-finite score for 'B'" in err
+
+
+def test_duplicate_id_in_json_snapshot_exits_2(capsys, tmp_path):
+    before = tmp_path / "before.json"
+    after = tmp_path / "after.json"
+    before.write_text('{"scores": {"a": 1, "a": 2, "b": 3}}')
+    after.write_text('{"scores": {"a": 2, "b": 4}}')
+    code, out, err = run_cli(capsys, "leaders", "--before", str(before), "--after", str(after))
+    assert (code, out, err) == (2, "", f"error: {before}: duplicate entity id 'a'\n")
+
+
+# One fault injected into an otherwise valid input. CSV faults at a data row
+# name its line; a missing column is a header fault, and JSON has no lines.
+KINDS = ("gains csv", "snapshot csv", "snapshot json")
+FAULTS = (
+    "duplicate id",
+    "negative score",
+    "nan",
+    "inf",
+    "1e999",
+    "huge integer",
+    "empty id",
+    "field count",
+    "missing column",
+)
+BAD_NUMBER = {"nan": "nan", "inf": "inf", "1e999": "1e999", "huge integer": "1" + "0" * 400, "negative score": "-1"}
+BAD_JSON_NUMBER = {**BAD_NUMBER, "nan": "NaN", "inf": "Infinity"}
+
+
+def _csv_with_fault(header, rows, fault, k, column):
+    if fault == "missing column":
+        drop = header.index(column)
+        header = [h for i, h in enumerate(header) if i != drop]
+        rows = [[c for i, c in enumerate(row) if i != drop] for row in rows]
+    elif fault == "duplicate id":
+        rows[k][0] = rows[0][0]
+    elif fault == "empty id":
+        rows[k][0] = ""
+    elif fault == "field count":
+        rows[k] = rows[k][:2] if len(header) > 2 else [*rows[k], "7"]
+    elif fault is not None:
+        rows[k][header.index(column)] = BAD_NUMBER[fault]
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def _json_with_fault(ids, scores, fault, k):
+    pairs = [[json.dumps(eid), repr(score)] for eid, score in zip(ids, scores)]
+    key = "scores"
+    if fault == "missing column":
+        key = "score"
+    elif fault == "duplicate id":
+        pairs[k][0] = pairs[0][0]
+    elif fault == "empty id":
+        pairs[k][0] = '""'
+    elif fault == "field count":
+        pairs[k][1] = f"[{pairs[k][1]}, 1]"
+    elif fault is not None:
+        pairs[k][1] = BAD_JSON_NUMBER[fault]
+    return '{"timestamp": "t", "%s": {%s}}' % (key, ", ".join(f"{a}: {b}" for a, b in pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(KINDS), fault=st.sampled_from(FAULTS), n=st.integers(2, 6), data=st.data())
+def test_single_injected_fault_exits_2(tmp_path_factory, kind, fault, n, data):
+    k = data.draw(st.integers(1, n - 1), label="row")
+    ids = [f"e{i}" for i in range(n)]
+    before = [100.0 + i for i in range(n)]
+    after = [150.0 - 7 * i for i in range(n)]
+    workdir = tmp_path_factory.mktemp("fault")
+    if kind == "gains csv":
+        # the score column is optional, and only a score must not be negative
+        required = fault == "missing column"
+        column = data.draw(st.sampled_from(["id", "g", "r"] if required else ["score", "g", "r"]), label="column")
+        if fault == "negative score":
+            column = "score"
+        rows = [[eid, repr(b), repr(a - b), repr(a / b - 1)] for eid, b, a in zip(ids, before, after)]
+        (workdir / "gains.csv").write_text(_csv_with_fault(["id", "score", "g", "r"], rows, fault, k, column))
+        argv = ["leaders", "--gains", str(workdir / "gains.csv")]
+    else:
+        side = data.draw(st.sampled_from(["before", "after"]), label="side")
+        paths = {}
+        for name, scores in (("before", before), ("after", after)):
+            if kind == "snapshot json":
+                text = _json_with_fault(ids, scores, fault if name == side else None, k)
+                paths[name] = workdir / f"{name}.json"
+            else:
+                rows = [[eid, repr(score)] for eid, score in zip(ids, scores)]
+                text = _csv_with_fault(["id", "score"], rows, fault if name == side else None, k, "score")
+                paths[name] = workdir / f"{name}.csv"
+            paths[name].write_text(text)
+        argv = ["rank", "--before", str(paths["before"]), "--after", str(paths["after"])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, ""), err.getvalue()
+    assert err.getvalue().startswith("error: ")
+    if kind != "snapshot json" and fault != "missing column":
+        assert re.search(rf"\bline {k + 2}\b", err.getvalue()), err.getvalue()
+
+
+def _readme_cli_lines() -> list[str]:
+    lines, in_block = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("momentumrank "):
+            lines.append(line)
+    return lines
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    # a flag removed from the CLI must not linger in the documented examples
+    lines = _readme_cli_lines()
+    assert len(lines) >= 5
+    monkeypatch.chdir(README.parent)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_unknown_subcommand_exits_2():

@@ -319,7 +319,7 @@ def test_snapshot_accepts_exact_number_scores(value):
     assert Snapshot("", {"A": 1.0, "B": value}).scores["B"] == value
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "10**400"])
 def test_snapshot_rejects_non_finite_scores(value):
     with pytest.raises(InputError, match="non-finite score for 'A'"):
         Snapshot("", {"A": value})

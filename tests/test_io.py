@@ -36,11 +36,32 @@ class TestParseSnapshot:
         assert snap.timestamp == "2021-05-01"
         assert snap.scores == {"A": 1.5}
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1" + "0" * 400], ids=["NaN", "Infinity", "10**400"])
     def test_json_non_finite_score(self, tmp_path, literal):
         p = tmp_path / "snap.json"
         p.write_text('{"scores": {"A": 1.0, "B": %s}}' % literal)
         with pytest.raises(InputError, match="non-finite score for 'B'"):
+            parse_snapshot(p)
+
+    def test_json_duplicate_id_names_id(self, tmp_path):
+        p = tmp_path / "snap.json"
+        p.write_text('{"scores": {"a": 1, "a": 2, "b": 3}}')
+        with pytest.raises(InputError) as excinfo:
+            parse_snapshot(p)
+        assert str(excinfo.value) == f"{p}: duplicate entity id 'a'"
+
+    @pytest.mark.parametrize("eid", ["", " "], ids=["empty", "blank"])
+    def test_json_empty_id(self, tmp_path, eid):
+        p = tmp_path / "snap.json"
+        p.write_text(json.dumps({"scores": {"a": 1, eid: 2}}))
+        with pytest.raises(InputError, match="empty entity id"):
+            parse_snapshot(p)
+
+    def test_json_integer_past_digit_limit(self, tmp_path):
+        # int() refuses more than 4300 digits with a ValueError, not a JSONDecodeError
+        p = tmp_path / "snap.json"
+        p.write_text('{"scores": {"A": 1%s}}' % ("0" * 5000))
+        with pytest.raises(InputError, match="invalid JSON"):
             parse_snapshot(p)
 
     def test_duplicate_id_names_id_and_line(self, tmp_path):

@@ -119,12 +119,17 @@ def _alloc_inverse_cdf(u: np.ndarray, alpha: float, x_min: float, x_max: float) 
     return (lo - u * (lo - hi)) ** (-1.0 / alpha)
 
 
-def alloc_trial_gains(config, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The study sampler as it stood before the reused buffer: fresh arrays per call."""
+def alloc_trial_gains(
+    config, trial_index: int, alpha: float, x_min: float, x_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The paper's power-law sampler: one trial's two ``random(n)`` draws through the Pareto inverse CDF.
+
+    The library counts the leaders of the uniform draws themselves; this
+    sampler is the oracle that the count is the same under the power law.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, trial_index)))
-    x_max = config.resolved_x_max
-    g = _alloc_inverse_cdf(rng.random(config.n), config.alpha, config.x_min, x_max)
-    r = _alloc_inverse_cdf(rng.random(config.n), config.alpha, config.x_min, x_max)
+    g = _alloc_inverse_cdf(rng.random(config.n), alpha, x_min, x_max)
+    r = _alloc_inverse_cdf(rng.random(config.n), alpha, x_min, x_max)
     return g, r
 
 
