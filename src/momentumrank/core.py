@@ -142,17 +142,18 @@ def _build(
     window: str = "",
     *,
     rank: bool = True,
+    where: Sequence[int] | str = "",
 ) -> DeltaSystem:
     """Validate, rank and freeze record columns: the one way a system is made.
 
     ``score`` holds None where an entity has no base score. With ``rank``
     set and every score present, entities are ordered by descending score
     with ties broken by ascending id (Python string order); otherwise the
-    given order is kept.
+    given order is kept. ``where`` locates the records, as in ``_check_columns``.
     """
     missing = np.array([s is None for s in score], dtype=bool)
     score_col, g_col, r_col = (np.array(c, dtype=np.float64) for c in (score, g, r))  # None reads as NaN
-    _check_columns(ids, missing, score_col, g_col, r_col)
+    _check_columns(ids, {"score": np.where(missing, 0.0, score_col), "g": g_col, "r": r_col}, where)
     has_scores = bool(ids) and not missing.any()
     if rank and has_scores:
         id_order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
@@ -172,35 +173,35 @@ def _build(
     )
 
 
-def _check_columns(
-    ids: list[str], missing: np.ndarray, score: np.ndarray, g: np.ndarray, r: np.ndarray
-) -> None:
-    """Raise the error of the first faulty record.
+def _check_columns(ids: Sequence[str], columns: dict[str, Sequence[float]], where: Sequence[int] | str = "") -> None:
+    """Raise the error of the first faulty record: the one place the record rules live.
 
-    Within one record the checks run in this order: duplicate id, negative
-    score, non-finite score, non-finite g, non-finite r.
+    Within a record, ids must be non-blank, then unique; then each column's
+    values must be non-negative (``score`` and ``w`` only) and finite.
+    ``where`` holds the records' CSV line numbers or names their JSON file.
     """
     faults = []  # (record, precedence, message) for the first record failing each check
+    if not all(map(str.strip, ids)):
+        faults.append(([*map(str.strip, ids)].index(""), 0, "empty entity id"))
     if len(set(ids)) < len(ids):
         seen: set[str] = set()
-        for i, eid in enumerate(ids):
-            if eid in seen:
-                faults.append((i, 0, f"duplicate entity id {eid!r}"))
-                break
-            seen.add(eid)
-    checks = (
-        ("negative score", score < 0, score),
-        ("non-finite score", ~(np.isfinite(score) | missing), score),
-        ("non-finite g", ~np.isfinite(g), g),
-        ("non-finite r", ~np.isfinite(r), r),
-    )
-    for precedence, (fault, bad, column) in enumerate(checks, start=1):
+        i = next(i for i, eid in enumerate(ids) if eid in seen or seen.add(eid))  # add() returns None
+        faults.append((i, 1, f"duplicate entity id {ids[i]!r}"))
+    checks = []
+    for name, column in columns.items():
+        column = np.asarray(column, dtype=np.float64)
+        if name in ("score", "w"):
+            checks.append((f"negative {name}", column < 0, column))
+        checks.append((f"non-finite {name}", ~np.isfinite(column), column))
+    for precedence, (fault, bad, column) in enumerate(checks, start=2):
         hits = np.flatnonzero(bad)
         if hits.size:
             i = int(hits[0])
             faults.append((i, precedence, f"{fault} for {ids[i]!r}: {float(column[i])}"))
     if faults:
-        raise InputError(min(faults)[2])
+        i, _, message = min(faults)
+        prefix = where if isinstance(where, str) else f"line {where[i]}"
+        raise InputError(f"{prefix}: {message}" if prefix else message)
 
 
 def system_from_entities(entities: Sequence[EntityGain], window: str = "") -> DeltaSystem:

@@ -11,10 +11,11 @@ import csv
 import io
 import json
 import math
+from array import array
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import DeltaSystem, InputError, Snapshot, _build
+from .core import DeltaSystem, InputError, Snapshot, _build, _check_columns
 from .frontier import BoundCheck, FrontierResult, leader_row
 from .ranking import LeaderRanking, MomentousnessScore, SystemComparison
 from .simulation import StudyResult
@@ -43,7 +44,10 @@ def _number(text: str, *, line: int, column: str, percent: bool = False) -> floa
 
 def parse_snapshot(path) -> Snapshot:
     """Read a snapshot from CSV (header ``id,score``) or JSON."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _snapshot_from_json(stripped, path)
@@ -54,118 +58,116 @@ def _snapshot_from_json(text: str, path) -> Snapshot:
     try:
         # objects become tuples of (key, value) pairs, so a repeated id stays visible
         fields = dict(json.loads(text, object_pairs_hook=tuple))
-    except ValueError as exc:  # also an int literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # also an int past Python's digit limit, or deep nesting
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     scores = fields.get("scores")
     if not isinstance(scores, tuple) or not scores:
         raise InputError(f"{path}: no entities")
-    out = {}
+    ids, values = [], []
     for eid, value in scores:
-        if not eid.strip():
-            raise InputError(f"{path}: empty entity id")
-        if eid in out:
-            raise InputError(f"{path}: duplicate entity id {eid!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise InputError(f"{path}: score for {eid!r} is not a number")
         try:
-            out[eid] = float(value)
+            values.append(float(value))
         except OverflowError:  # an int past the float range rounds to +-inf, as 1e999 does
-            out[eid] = math.inf if value > 0 else -math.inf
-    return Snapshot(timestamp=str(fields.get("timestamp", "")), scores=out)
+            values.append(math.inf if value > 0 else -math.inf)
+        ids.append(eid)
+    _check_columns(ids, {"score": values}, str(path))
+    return Snapshot(timestamp=str(fields.get("timestamp", "")), scores=dict(zip(ids, values)))
 
 
 def _snapshot_from_csv(text: str, path) -> Snapshot:
     reader = csv.reader(io.StringIO(text))
     first = next(reader, None)
-    if first is None:
-        raise InputError(f"{path}: no entities")
-    if [h.strip().lower() for h in first] != ["id", "score"]:
+    if first is not None and [h.strip().lower() for h in first] != ["id", "score"]:
         raise InputError(f"{path}: expected header id,score, got {first!r}")
-    scores: dict[str, float] = {}
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        line_no = reader.line_num
-        if len(row) != 2:
-            raise InputError(f"line {line_no}: expected 2 fields, got {len(row)}")
-        eid = row[0].strip()
-        if not eid:
-            raise InputError(f"line {line_no}: empty entity id")
-        if eid in scores:
-            raise InputError(f"line {line_no}: duplicate entity id {eid!r}")
-        value = _number(row[1], line=line_no, column="score")
-        if value < 0:
-            raise InputError(f"line {line_no}: negative score for {eid!r}")
-        scores[eid] = value
-    if not scores:
+    ids, scores, lines = [], [], array("l")
+    try:
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            line_no = reader.line_num
+            if len(row) != 2:
+                raise InputError(f"line {line_no}: expected 2 fields, got {len(row)}")
+            scores.append(_number(row[1], line=line_no, column="score"))
+            ids.append(row[0].strip())
+            lines.append(line_no)
+    except InputError:
+        _check_columns(ids, {"score": scores}, lines)  # a fault on an earlier line is reported first
+        raise
+    del reader  # frees the decoded text buffer before the dict is built
+    _check_columns(ids, {"score": scores}, lines)
+    if not ids:
         raise InputError(f"{path}: no entities")
-    return Snapshot(timestamp="", scores=scores)
+    return Snapshot(timestamp="", scores=dict(zip(ids, scores)))
+
+
+def _table_rows(path, required: set[str], expected: str):
+    """Yield a CSV table's column positions, then ``(line, row)`` per data row.
+
+    The header is stripped and lowercased, and a repeated name maps to its
+    last column. Blank lines are skipped and short rows padded with "".
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            fields = [f.strip().lower() for f in next(reader, [])]
+            missing = required - set(fields)
+            if missing:
+                raise InputError(f"{path}: expected columns {expected} (missing {sorted(missing)})")
+            yield {name: i for i, name in enumerate(fields)}
+            for row in reader:
+                if row:
+                    if len(row) < len(fields):
+                        row += [""] * (len(fields) - len(row))
+                    yield reader.line_num, row
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def parse_gains_table(path, window: str = "") -> DeltaSystem:
     """Read a pre-diffed gains table: columns ``id[,score],g,r``, extras ignored.
 
-    Row order defines rank when the score column is absent. Blank lines are
-    skipped, a short row reads its missing fields as empty, and a repeated
-    column name reads its last column.
+    Row order defines rank when the score column is absent or has a blank cell.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        fields = [f.strip().lower() for f in next(reader, [])]
-        missing = {"id", "g", "r"} - set(fields)
-        if missing:
-            raise InputError(f"{path}: expected columns id[,score],g,r (missing {sorted(missing)})")
-        at = {name: i for i, name in enumerate(fields)}
-        id_at, g_at, r_at, score_at = at["id"], at["g"], at["r"], at.get("score")
-        ids, score, g, r = [], [], [], []
-        seen = set()
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < len(fields):
-                row += [""] * (len(fields) - len(row))
-            line_no = reader.line_num
-            eid = row[id_at].strip()
-            if not eid:
-                raise InputError(f"line {line_no}: empty entity id")
-            g.append(_number(row[g_at], line=line_no, column="g"))
-            r.append(_number(row[r_at], line=line_no, column="r", percent=True))
-            value = None
-            if score_at is not None and row[score_at].strip():
-                value = _number(row[score_at], line=line_no, column="score")
-                if value < 0:
-                    raise InputError(f"line {line_no}: negative score for {eid!r}: {value}")
-            if eid in seen:
-                raise InputError(f"line {line_no}: duplicate entity id {eid!r}")
-            seen.add(eid)
-            ids.append(eid)
-            score.append(value)
-    return _build(ids, score, g, r, window)
+    rows = _table_rows(path, {"id", "g", "r"}, "id[,score],g,r")
+    id_at, g_at, r_at, score_at = map(next(rows).get, ("id", "g", "r", "score"))
+    ids, score, g, r, lines = [], [], [], [], array("l")
+    try:
+        for line_no, row in rows:
+            g_value = _number(row[g_at], line=line_no, column="g")
+            r_value = _number(row[r_at], line=line_no, column="r", percent=True)
+            has_score = score_at is not None and row[score_at].strip()
+            score.append(_number(row[score_at], line=line_no, column="score") if has_score else None)
+            ids.append(row[id_at].strip())
+            g.append(g_value)
+            r.append(r_value)
+            lines.append(line_no)
+    except InputError:
+        _build(ids, score, g, r, where=lines)  # a fault on an earlier line is reported first
+        raise
+    return _build(ids, score, g, r, window, where=lines)
 
 
 def parse_leaders_table(path) -> tuple[tuple[str, float, float], ...]:
     """Read pre-computed leader rows: columns ``[id,]r,w``; returns (id, r, w)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = [f.strip().lower() for f in reader.fieldnames or []]
-        missing = {"r", "w"} - set(fields)
-        if missing:
-            raise InputError(f"{path}: expected columns [id,]r,w (missing {sorted(missing)})")
-        rows = []
-        for index, row in enumerate(reader):
-            row = {(k or "").strip().lower(): (v or "") for k, v in row.items()}
-            line_no = reader.line_num
-            leader_id = row.get("id", "").strip() or str(index + 1)
-            rows.append(
-                (
-                    leader_id,
-                    _number(row["r"], line=line_no, column="r", percent=True),
-                    _number(row["w"], line=line_no, column="w", percent=True),
-                )
-            )
-    if not rows:
+    rows = _table_rows(path, {"r", "w"}, "[id,]r,w")
+    id_at, r_at, w_at = map(next(rows).get, ("id", "r", "w"))
+    ids, r, w, lines = [], [], [], array("l")
+    try:
+        for line_no, row in rows:
+            r_value = _number(row[r_at], line=line_no, column="r", percent=True)
+            w.append(_number(row[w_at], line=line_no, column="w", percent=True))
+            r.append(r_value)
+            ids.append((row[id_at].strip() if id_at is not None else "") or str(len(ids) + 1))
+            lines.append(line_no)
+    except InputError:
+        _check_columns(ids, {"r": r, "w": w}, lines)  # a fault on an earlier line is reported first
+        raise
+    _check_columns(ids, {"r": r, "w": w}, lines)
+    if not ids:
         raise InputError(f"{path}: no leader rows")
-    return tuple(rows)
+    return tuple(zip(ids, r, w))
 
 
 # --- report writing ---------------------------------------------------------

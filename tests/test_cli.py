@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentumrank import build_delta_system, leader_weight
@@ -272,12 +272,22 @@ def test_duplicate_id_in_json_snapshot_exits_2(capsys, tmp_path):
     assert (code, out, err) == (2, "", f"error: {before}: duplicate entity id 'a'\n")
 
 
+def test_json_snapshot_value_fault_names_file(capsys, tmp_path):
+    before = tmp_path / "B.json"
+    after = tmp_path / "A.json"
+    before.write_text('{"scores": {"a": 1, "b": -3}}')
+    after.write_text('{"scores": {"a": 2, "b": 4}}')
+    code, out, err = run_cli(capsys, "leaders", "--before", str(before), "--after", str(after))
+    assert (code, out, err) == (2, "", f"error: {before}: negative score for 'b': -3.0\n")
+
+
 # One fault injected into an otherwise valid input. CSV faults at a data row
-# name its line; a missing column is a header fault, and JSON has no lines.
-KINDS = ("gains csv", "snapshot csv", "snapshot json")
+# name its line. A missing column is a header fault, a file that is not
+# UTF-8 cannot be read at all, and JSON has no lines: these name the file.
+KINDS = ("gains csv", "snapshot csv", "snapshot json", "leaders csv")
 FAULTS = (
     "duplicate id",
-    "negative score",
+    "negative score",  # the w column of a leader table
     "nan",
     "inf",
     "1e999",
@@ -285,9 +295,12 @@ FAULTS = (
     "empty id",
     "field count",
     "missing column",
+    "not utf-8",
+    "deep nesting",
 )
 BAD_NUMBER = {"nan": "nan", "inf": "inf", "1e999": "1e999", "huge integer": "1" + "0" * 400, "negative score": "-1"}
 BAD_JSON_NUMBER = {**BAD_NUMBER, "nan": "NaN", "inf": "Infinity"}
+NOT_UTF8 = "\udcff"  # written with surrogateescape, this is the single byte 0xff
 
 
 def _csv_with_fault(header, rows, fault, k, column):
@@ -301,6 +314,8 @@ def _csv_with_fault(header, rows, fault, k, column):
         rows[k][0] = ""
     elif fault == "field count":
         rows[k] = rows[k][:2] if len(header) > 2 else [*rows[k], "7"]
+    elif fault == "not utf-8":
+        rows[k][0] += NOT_UTF8
     elif fault is not None:
         rows[k][header.index(column)] = BAD_NUMBER[fault]
     return "".join(",".join(row) + "\n" for row in [header, *rows])
@@ -317,28 +332,43 @@ def _json_with_fault(ids, scores, fault, k):
         pairs[k][0] = '""'
     elif fault == "field count":
         pairs[k][1] = f"[{pairs[k][1]}, 1]"
+    elif fault == "not utf-8":
+        pairs[k][0] = f'"{ids[k]}{NOT_UTF8}"'
+    elif fault == "deep nesting":
+        pairs[k][1] = "[" * 100_000 + "]" * 100_000
     elif fault is not None:
         pairs[k][1] = BAD_JSON_NUMBER[fault]
     return '{"timestamp": "t", "%s": {%s}}' % (key, ", ".join(f"{a}: {b}" for a, b in pairs))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(kind=st.sampled_from(KINDS), fault=st.sampled_from(FAULTS), n=st.integers(2, 6), data=st.data())
 def test_single_injected_fault_exits_2(tmp_path_factory, kind, fault, n, data):
+    # only JSON nests; a leader row with an empty id takes its row number
+    assume(fault != "deep nesting" or kind == "snapshot json")
+    assume(fault != "empty id" or kind != "leaders csv")
     k = data.draw(st.integers(1, n - 1), label="row")
     ids = [f"e{i}" for i in range(n)]
     before = [100.0 + i for i in range(n)]
     after = [150.0 - 7 * i for i in range(n)]
     workdir = tmp_path_factory.mktemp("fault")
-    if kind == "gains csv":
-        # the score column is optional, and only a score must not be negative
-        required = fault == "missing column"
-        column = data.draw(st.sampled_from(["id", "g", "r"] if required else ["score", "g", "r"]), label="column")
+    if kind in ("gains csv", "leaders csv"):
+        # the score column is optional, and only a score or a w must not be negative
+        if kind == "gains csv":
+            header, optional, required, non_negative = ["id", "score", "g", "r"], ["score"], ["id", "g", "r"], "score"
+            rows = [[eid, repr(b), repr(a - b), repr(a / b - 1)] for eid, b, a in zip(ids, before, after)]
+            argv = ["leaders", "--gains"]
+        else:
+            header, optional, required, non_negative = ["id", "r", "w"], [], ["r", "w"], "w"
+            rows = [[eid, repr(a / b - 1), repr(b / 1000)] for eid, b, a in zip(ids, before, after)]
+            argv = ["momentousness", "--leaders-csv"]
+        columns = required if fault == "missing column" else optional + required[-2:]
+        column = data.draw(st.sampled_from(columns), label="column")
         if fault == "negative score":
-            column = "score"
-        rows = [[eid, repr(b), repr(a - b), repr(a / b - 1)] for eid, b, a in zip(ids, before, after)]
-        (workdir / "gains.csv").write_text(_csv_with_fault(["id", "score", "g", "r"], rows, fault, k, column))
-        argv = ["leaders", "--gains", str(workdir / "gains.csv")]
+            column = non_negative
+        faulty = workdir / "table.csv"
+        faulty.write_text(_csv_with_fault(header, rows, fault, k, column), encoding="utf-8", errors="surrogateescape")
+        argv.append(str(faulty))
     else:
         side = data.draw(st.sampled_from(["before", "after"]), label="side")
         paths = {}
@@ -350,14 +380,17 @@ def test_single_injected_fault_exits_2(tmp_path_factory, kind, fault, n, data):
                 rows = [[eid, repr(score)] for eid, score in zip(ids, scores)]
                 text = _csv_with_fault(["id", "score"], rows, fault if name == side else None, k, "score")
                 paths[name] = workdir / f"{name}.csv"
-            paths[name].write_text(text)
+            paths[name].write_text(text, encoding="utf-8", errors="surrogateescape")
+        faulty = paths[side]
         argv = ["rank", "--before", str(paths["before"]), "--after", str(paths["after"])]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert (code, out.getvalue()) == (2, ""), err.getvalue()
     assert err.getvalue().startswith("error: ")
-    if kind != "snapshot json" and fault != "missing column":
+    if kind == "snapshot json" or fault in ("missing column", "not utf-8"):
+        assert err.getvalue().startswith(f"error: {faulty}: "), err.getvalue()
+    else:
         assert re.search(rf"\bline {k + 2}\b", err.getvalue()), err.getvalue()
 
 

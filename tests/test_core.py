@@ -178,6 +178,11 @@ class TestColumnarBuild:
         with pytest.raises(InputError, match="record must be"):
             build_delta_system([("c",)] + records[:2])
 
+    @pytest.mark.parametrize("eid", ["", " "], ids=["empty", "blank"])
+    def test_empty_id_rejected(self, eid):
+        with pytest.raises(InputError, match="^empty entity id$"):
+            build_delta_system([("a", 1.0, 2.0), (eid, 1.0, 2.0)])
+
     def test_duplicate_reported_before_negative_score_in_one_record(self):
         with pytest.raises(InputError, match="duplicate entity id 'a'"):
             build_delta_system([("a", 1.0, 1.0, 0.1), ("a", -1.0, 2.0, 0.2)])

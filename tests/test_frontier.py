@@ -9,6 +9,7 @@ from momentumrank import (
     InputError,
     build_delta_system,
     dominated_set,
+    dominates,
     frontier_bruteforce,
     frontier_sortscan,
     interval,
@@ -165,6 +166,32 @@ class TestFrontier:
             for e in leaders:
                 for f in leaders:
                     assert not dominates(e, f)
+
+
+# floats at the edges: nan, both infinities, both zeros, subnormals, the largest magnitudes
+edge_float = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0]),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(edge_float, edge_float, edge_float), min_size=1, max_size=12))
+def test_float_edges_through_the_build(values):
+    # the build rejects exactly the non-finite values and negative scores; all it accepts, the kernel ranks right
+    records = [(f"e{i}", score, g, r) for i, (score, g, r) in enumerate(values)]
+    faulty = any(not math.isfinite(v) for row in values for v in row) or any(score < 0 for score, _, _ in values)
+    try:
+        ds = build_delta_system(records)
+    except InputError:
+        assert faulty
+        return
+    assert not faulty
+    result = frontier_sortscan(ds)
+    assert result.leaders == frontier_bruteforce(ds).leaders
+    for m in result.leaders:
+        leader = ds.by_id(m)
+        assert dominated_set(ds, m) == {e.id for e in ds.entities if dominates(e, leader)}
 
 
 class TestLeaderMask:

@@ -58,11 +58,13 @@ class TestParseSnapshot:
             parse_snapshot(p)
 
     def test_json_integer_past_digit_limit(self, tmp_path):
-        # int() refuses more than 4300 digits with a ValueError, not a JSONDecodeError
+        # int() refuses more than 4300 digits with a ValueError, not a JSONDecodeError;
+        # nesting past the recursion limit raises a RecursionError
         p = tmp_path / "snap.json"
-        p.write_text('{"scores": {"A": 1%s}}' % ("0" * 5000))
-        with pytest.raises(InputError, match="invalid JSON"):
-            parse_snapshot(p)
+        for value in ["1" + "0" * 5000, "[" * 100_000 + "]" * 100_000]:
+            p.write_text('{"scores": {"A": %s}}' % value)
+            with pytest.raises(InputError, match="invalid JSON"):
+                parse_snapshot(p)
 
     def test_duplicate_id_names_id_and_line(self, tmp_path):
         p = tmp_path / "snap.csv"
@@ -98,6 +100,12 @@ class TestParseSnapshot:
         p = tmp_path / "snap.csv"
         p.write_text("id,score\nA,ten\n")
         with pytest.raises(InputError, match="line 2"):
+            parse_snapshot(p)
+
+    def test_first_faulty_line_wins(self, tmp_path):
+        p = tmp_path / "snap.csv"
+        p.write_text("id,score\nA,1\nA,2\nB,x\n")
+        with pytest.raises(InputError, match=r"^line 3: duplicate entity id 'A'$"):
             parse_snapshot(p)
 
     def test_line_numbers_count_lines_inside_quoted_ids(self, tmp_path):
@@ -230,6 +238,23 @@ class TestParseLeadersTable:
         p.write_text("id,weight\nA,0.5\n")
         with pytest.raises(InputError, match="missing"):
             parse_leaders_table(p)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("id,r,w\na,0.1,0.5\na,0.2,0.7\n", "line 3: duplicate entity id 'a'"),
+            ("id,r,w\na,0.1,0.5\nb,0.2,-50%\n", "line 3: negative w for 'b': -0.5"),
+            ("id,r,w\n,0.1,0.5\n1,0.2,0.7\n", "line 3: duplicate entity id '1'"),  # repeats a row number
+            ("id,r,w\na,0.1,0.5\na,0.2,0.7\nb,x,0.1\n", "line 3: duplicate entity id 'a'"),
+        ],
+        ids=["duplicate", "negative w", "default id", "first faulty line"],
+    )
+    def test_record_rules_name_the_line(self, tmp_path, text, message):
+        p = tmp_path / "l.csv"
+        p.write_text(text)
+        with pytest.raises(InputError) as excinfo:
+            parse_leaders_table(p)
+        assert str(excinfo.value) == message
 
 
 class TestRoundTrip:
