@@ -8,8 +8,10 @@ coordinates; everything else in the package is built on top of that relation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -168,7 +170,7 @@ def _build(
         r=r_col,
         score=score_col,
         window=window,
-        total_score=float(sum(s for s in score_col.tolist() if not math.isnan(s))),
+        total_score=float(sum((score_col if has_scores else score_col[~missing]).tolist())),
         has_scores=has_scores,
     )
 
@@ -264,30 +266,32 @@ def derive_from_snapshots(
         if before_total <= 0 or after_total <= 0:
             raise InputError("share_delta requires a positive total score in both snapshots")
 
-    warnings: list[str] = []
-    ids, base, gains, rel = [], [], [], []
-    for eid in sorted(set(before.scores) | set(after.scores)):
-        if eid not in before.scores:
-            warnings.append(f"excluded {eid!r}: present only in the after snapshot")
-            continue
-        if eid not in after.scores:
-            warnings.append(f"excluded {eid!r}: present only in the before snapshot")
-            continue
-        old, new = before.scores[eid], after.scores[eid]
-        g = new - old
-        if mode == "ratio":
-            if old == 0:
-                warnings.append(f"excluded {eid!r}: relative gain undefined (zero score before the window)")
-                continue
-            r = g / old
-        else:
-            r = new / after_total - old / before_total
-        ids.append(eid)
-        base.append(old)
-        gains.append(g)
-        rel.append(r)
+    old_scores, new_scores = before.scores, after.scores
+    ids = [eid for eid in old_scores if eid in new_scores]
+    excluded = []  # (id, reason)
+    if len(ids) < len(old_scores):
+        excluded += [(eid, "present only in the before snapshot") for eid in old_scores if eid not in new_scores]
+    if len(ids) < len(new_scores):
+        excluded += [(eid, "present only in the after snapshot") for eid in new_scores if eid not in old_scores]
+    ids.sort()  # linear on sorted files; a fault is reported for the first id in this order
+    base, new = list(map(old_scores.__getitem__, ids)), list(map(new_scores.__getitem__, ids))
+    gains = list(map(operator.sub, new, base))
+    if mode == "ratio":
+        if 0 in base:
+            kept = [old != 0 for old in base]
+            excluded += [
+                (eid, "relative gain undefined (zero score before the window)")
+                for eid, keep in zip(ids, kept)
+                if not keep
+            ]
+            ids, base, gains = (list(compress(column, kept)) for column in (ids, base, gains))
+        rel = list(map(operator.truediv, gains, base))
+    else:
+        shares = map(operator.truediv, new, repeat(after_total)), map(operator.truediv, base, repeat(before_total))
+        rel = list(map(operator.sub, *shares))
+    warnings = tuple(f"excluded {eid!r}: {reason}" for eid, reason in sorted(excluded))
 
     window = ""
     if before.timestamp or after.timestamp:
         window = f"{before.timestamp}..{after.timestamp}"
-    return _build(ids, base, gains, rel, window), tuple(warnings)
+    return _build(ids, base, gains, rel, window), warnings

@@ -15,6 +15,8 @@ from array import array
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .core import DeltaSystem, InputError, Snapshot, _build, _check_columns
 from .frontier import BoundCheck, FrontierResult, leader_row
 from .ranking import LeaderRanking, MomentousnessScore, SystemComparison
@@ -51,7 +53,8 @@ def parse_snapshot(path) -> Snapshot:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _snapshot_from_json(stripped, path)
-    return _snapshot_from_csv(text, path)
+    snapshot = _snapshot_from_columns(text)
+    return snapshot if snapshot is not None else _snapshot_from_csv(text, path)
 
 
 def _snapshot_from_json(text: str, path) -> Snapshot:
@@ -76,14 +79,67 @@ def _snapshot_from_json(text: str, path) -> Snapshot:
     return Snapshot(timestamp=str(fields.get("timestamp", "")), scores=dict(zip(ids, values)))
 
 
+def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
+    """Split a CSV text that needs no quoting rules into header names and data columns.
+
+    Returns None, leaving the text to the row reader, unless the text has no
+    '"', '\\r' or NUL, and every line, the header too, has the header's
+    field count (at least two) and no field longer than
+    ``csv.field_size_limit()`` bytes. On such a text ``csv.reader`` reads
+    each line as the line split at every ','. Names are stripped and lowercased.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    ends = data[seps] == ord("\n")  # each line's k separators: k - 1 commas, then its newline
+    k = int(ends.argmax()) + 1
+    if k < 2 or ends.size % k:
+        return None
+    by_line = ends.reshape(-1, k)
+    if not by_line[:, -1].all() or by_line[:, :-1].any():
+        return None
+    if np.diff(seps, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+    del data, seps, ends, by_line
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # the empty text after the last newline
+    return [name.strip().lower() for name in fields[:k]], [fields[k + i :: k] for i in range(k)]
+
+
+def _snapshot_from_columns(text: str) -> Snapshot | None:
+    """The columnar twin of ``_snapshot_from_csv``; None leaves the text to it."""
+    plain = _plain_columns(text)
+    if plain is None or plain[0] != ["id", "score"] or not plain[1][0]:
+        return None
+    try:
+        ids, scores = list(map(str.strip, plain[1][0])), list(map(float, plain[1][1]))
+        del plain
+        _check_columns(ids, {"score": scores})
+    except ValueError:  # also InputError: the row reader names the faulty line
+        return None
+    return Snapshot(timestamp="", scores=dict(zip(ids, scores)))
+
+
+def _csv_rows(reader):
+    """Yield ``reader``'s rows; a csv.Error, such as a field past the size limit, is an InputError at its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from None
+
+
 def _snapshot_from_csv(text: str, path) -> Snapshot:
     reader = csv.reader(io.StringIO(text))
-    first = next(reader, None)
+    rows = _csv_rows(reader)
+    first = next(rows, None)
     if first is not None and [h.strip().lower() for h in first] != ["id", "score"]:
         raise InputError(f"{path}: expected header id,score, got {first!r}")
     ids, scores, lines = [], [], array("l")
     try:
-        for row in reader:
+        for row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             line_no = reader.line_num
@@ -95,7 +151,7 @@ def _snapshot_from_csv(text: str, path) -> Snapshot:
     except InputError:
         _check_columns(ids, {"score": scores}, lines)  # a fault on an earlier line is reported first
         raise
-    del reader  # frees the decoded text buffer before the dict is built
+    del reader, rows  # frees the decoded text buffer before the dict is built
     _check_columns(ids, {"score": scores}, lines)
     if not ids:
         raise InputError(f"{path}: no entities")
@@ -111,12 +167,13 @@ def _table_rows(path, required: set[str], expected: str):
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            fields = [f.strip().lower() for f in next(reader, [])]
+            rows = _csv_rows(reader)
+            fields = [f.strip().lower() for f in next(rows, [])]
             missing = required - set(fields)
             if missing:
                 raise InputError(f"{path}: expected columns {expected} (missing {sorted(missing)})")
             yield {name: i for i, name in enumerate(fields)}
-            for row in reader:
+            for row in rows:
                 if row:
                     if len(row) < len(fields):
                         row += [""] * (len(fields) - len(row))
@@ -125,11 +182,44 @@ def _table_rows(path, required: set[str], expected: str):
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def _read_plain(path) -> tuple[list[str], list[list[str]]] | None:
+    """``_plain_columns`` of a file; None also when it is not UTF-8, which the row reader reports."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            return None
+    return _plain_columns(text)
+
+
 def parse_gains_table(path, window: str = "") -> DeltaSystem:
     """Read a pre-diffed gains table: columns ``id[,score],g,r``, extras ignored.
 
     Row order defines rank when the score column is absent or has a blank cell.
     """
+    system = _gains_from_columns(path, window)
+    return system if system is not None else _gains_from_rows(path, window)
+
+
+def _gains_from_columns(path, window: str) -> DeltaSystem | None:
+    """The columnar twin of ``_gains_from_rows``; None leaves the file to it."""
+    plain = _read_plain(path)
+    if plain is None:
+        return None
+    column = dict(zip(*plain))  # a repeated name keeps its last column, as in _table_rows
+    del plain
+    if not {"id", "g", "r"} <= column.keys():
+        return None
+    try:
+        ids, g, r = list(map(str.strip, column["id"])), list(map(float, column["g"])), list(map(float, column["r"]))
+        score = list(map(float, column["score"])) if "score" in column else [None] * len(ids)
+        del column
+        return _build(ids, score, g, r, window)
+    except ValueError:  # also InputError: the row reader names the faulty line
+        return None
+
+
+def _gains_from_rows(path, window: str = "") -> DeltaSystem:
     rows = _table_rows(path, {"id", "g", "r"}, "id[,score],g,r")
     id_at, g_at, r_at, score_at = map(next(rows).get, ("id", "g", "r", "score"))
     ids, score, g, r, lines = [], [], [], [], array("l")
@@ -151,6 +241,28 @@ def parse_gains_table(path, window: str = "") -> DeltaSystem:
 
 def parse_leaders_table(path) -> tuple[tuple[str, float, float], ...]:
     """Read pre-computed leader rows: columns ``[id,]r,w``; returns (id, r, w)."""
+    rows = _leaders_from_columns(path)
+    return rows if rows is not None else _leaders_from_rows(path)
+
+
+def _leaders_from_columns(path) -> tuple[tuple[str, float, float], ...] | None:
+    """The columnar twin of ``_leaders_from_rows``; None leaves the file to it."""
+    plain = _read_plain(path)
+    if plain is None:
+        return None
+    column = dict(zip(*plain))
+    if not {"r", "w"} <= column.keys() or not column["r"]:
+        return None
+    try:
+        r, w = list(map(float, column["r"])), list(map(float, column["w"]))
+        ids = [eid or str(i) for i, eid in enumerate(map(str.strip, column.get("id", [""] * len(r))), start=1)]
+        _check_columns(ids, {"r": r, "w": w})
+    except ValueError:  # also InputError: the row reader names the faulty line
+        return None
+    return tuple(zip(ids, r, w))
+
+
+def _leaders_from_rows(path) -> tuple[tuple[str, float, float], ...]:
     rows = _table_rows(path, {"r", "w"}, "[id,]r,w")
     id_at, r_at, w_at = map(next(rows).get, ("id", "r", "w"))
     ids, r, w, lines = [], [], [], array("l")

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .core import DeltaSystem, InputError
+from .core import DeltaSystem, InputError, _check_columns
 from .frontier import frontier_sortscan, leader_row
 
 
@@ -99,23 +99,30 @@ def momentousness(source: SystemOrLeaders) -> MomentousnessScore:
             (leader_id, r, w, r * w) for leader_id, w, r in _leader_rows(source)
         )
     else:
-        terms = tuple(_term_from_row(i, row) for i, row in enumerate(source))
+        terms = _leader_terms(source)
     return MomentousnessScore(
         value=math.fsum(t[3] for t in terms),
         terms=terms,
     )
 
 
-def _term_from_row(index: int, row: tuple) -> tuple[str, float, float, float]:
-    if len(row) == 3:
-        leader_id, r, w = row
-    elif len(row) == 2:
-        r, w = row
-        leader_id = str(index + 1)
-    else:
-        raise InputError(f"leader row must be (id, r, w) or (r, w), got {row!r}")
-    r, w = float(r), float(w)
-    return str(leader_id), r, w, r * w
+def _leader_terms(rows: LeaderRows) -> tuple[tuple[str, float, float, float], ...]:
+    """(id, r, w, r*w) per leader row; the rows obey the record rules of a leader table."""
+    ids, r, w = [], [], []
+    for index, row in enumerate(rows):
+        if len(row) == 3:
+            leader_id, r_value, w_value = row
+        elif len(row) == 2:
+            r_value, w_value = row
+            leader_id = str(index + 1)
+        else:
+            _check_columns(ids, {"r": r, "w": w})  # a fault in an earlier row is reported first
+            raise InputError(f"leader row must be (id, r, w) or (r, w), got {row!r}")
+        ids.append(str(leader_id))
+        r.append(float(r_value))
+        w.append(float(w_value))
+    _check_columns(ids, {"r": r, "w": w})
+    return tuple((leader_id, r_value, w_value, r_value * w_value) for leader_id, r_value, w_value in zip(ids, r, w))
 
 
 def compare_systems(a: SystemOrLeaders, b: SystemOrLeaders) -> SystemComparison:

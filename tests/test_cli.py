@@ -297,6 +297,7 @@ FAULTS = (
     "missing column",
     "not utf-8",
     "deep nesting",
+    "long field",
 )
 BAD_NUMBER = {"nan": "nan", "inf": "inf", "1e999": "1e999", "huge integer": "1" + "0" * 400, "negative score": "-1"}
 BAD_JSON_NUMBER = {**BAD_NUMBER, "nan": "NaN", "inf": "Infinity"}
@@ -316,6 +317,8 @@ def _csv_with_fault(header, rows, fault, k, column):
         rows[k] = rows[k][:2] if len(header) > 2 else [*rows[k], "7"]
     elif fault == "not utf-8":
         rows[k][0] += NOT_UTF8
+    elif fault == "long field":
+        rows[k][0] = "x" * 140_000  # past the csv module's field size limit
     elif fault is not None:
         rows[k][header.index(column)] = BAD_NUMBER[fault]
     return "".join(",".join(row) + "\n" for row in [header, *rows])
@@ -344,8 +347,9 @@ def _json_with_fault(ids, scores, fault, k):
 @settings(max_examples=250, deadline=None)
 @given(kind=st.sampled_from(KINDS), fault=st.sampled_from(FAULTS), n=st.integers(2, 6), data=st.data())
 def test_single_injected_fault_exits_2(tmp_path_factory, kind, fault, n, data):
-    # only JSON nests; a leader row with an empty id takes its row number
+    # only JSON nests, only CSV has a field size limit; a leader row with an empty id takes its row number
     assume(fault != "deep nesting" or kind == "snapshot json")
+    assume(fault != "long field" or kind != "snapshot json")
     assume(fault != "empty id" or kind != "leaders csv")
     k = data.draw(st.integers(1, n - 1), label="row")
     ids = [f"e{i}" for i in range(n)]

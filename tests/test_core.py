@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentumrank import (
@@ -17,7 +17,7 @@ from momentumrank import (
     frontier_sortscan,
 )
 
-from util import STYLES, naive_system, random_pairs, records_from_pairs
+from util import STYLES, naive_derive_from_snapshots, naive_system, random_pairs, records_from_pairs, system_bits
 
 coord = st.one_of(
     st.integers(-3, 3).map(float),  # small grid forces ties
@@ -296,6 +296,74 @@ class TestDeriveFromSnapshots:
         ds, warnings = derive_from_snapshots(before, after, "share_delta")
         assert warnings == ()
         assert math.fsum(e.r for e in ds.entities) == pytest.approx(0.0, abs=1e-12)
+
+
+def _derived(derive, before, after, mode):
+    try:
+        ds, warnings = derive(before, after, mode)
+    except InputError as exc:
+        return str(exc)
+    return system_bits(ds), warnings
+
+
+@st.composite
+def snapshot_pairs(draw):
+    """Two float snapshots in independent file orders, with one-sided ids and zero scores."""
+    ids = draw(st.lists(st.text("abAB1é_", min_size=1, max_size=3), min_size=1, max_size=30, unique=True))
+    value = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=0.0, max_value=1e300),
+        st.floats(min_value=1e-320, max_value=1e-300),  # small enough to overflow r
+    )
+    sides = [draw(st.sampled_from(["both", "both", "before", "after"])) for _ in ids]
+    before = {eid: draw(value) for eid, side in zip(ids, sides) if side != "after"}
+    after = {eid: draw(value) for eid, side in zip(ids, sides) if side != "before"}
+    order = draw(st.permutations(ids))
+    timestamps = draw(st.sampled_from([("", ""), ("t0", "t1")]))
+    return (
+        Snapshot(timestamps[0], {eid: before[eid] for eid in order if eid in before}),
+        Snapshot(timestamps[1], {eid: after[eid] for eid in reversed(order) if eid in after}),
+    )
+
+
+class TestDeriveMatchesUnionWalk:
+    """``derive_from_snapshots`` against the sorted-union loop it replaced (``util.naive_derive_from_snapshots``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=snapshot_pairs(), mode=st.sampled_from(["ratio", "share_delta"]))
+    def test_float_snapshots_bit_identical(self, pair, mode):
+        before, after = pair
+        assume(before.scores and after.scores)
+        assume(mode == "ratio" or (sum(before.scores.values()) > 0 and sum(after.scores.values()) > 0))
+        assert _derived(derive_from_snapshots, before, after, mode) == _derived(
+            naive_derive_from_snapshots, before, after, mode
+        )
+
+    @pytest.mark.parametrize("mode", ["ratio", "share_delta"])
+    @pytest.mark.parametrize(
+        "number",
+        [Fraction, lambda p, q: Decimal(p) / q, lambda p, q: (2**64 + 1) * p + (q if p else 0)],
+        ids=["Fraction", "Decimal", "2**64"],
+    )
+    def test_exact_number_snapshots(self, number, mode):
+        # none of these values is a float, so float arithmetic would round where exact arithmetic does not
+        before = {"d": (3, 7), "b": (7, 3), "z": (0, 1), "a": (2, 9), "x": (1, 1)}
+        after = {"y": (4, 1), "a": (5, 11), "z": (1, 3), "b": (6, 13), "d": (9, 17)}
+        before, after = (Snapshot("", {eid: number(*pq) for eid, pq in snap.items()}) for snap in (before, after))
+        got, expected = derive_from_snapshots(before, after, mode), naive_derive_from_snapshots(before, after, mode)
+        assert got[1] == expected[1]
+        assert len(got[1]) == (3 if mode == "ratio" else 2)  # x, y, and z with a zero score
+        assert system_bits(got[0]) == system_bits(expected[0])
+
+    @pytest.mark.parametrize("number", [float, Decimal], ids=["float", "Decimal"])
+    def test_overflow_names_the_oracles_entity(self, number):
+        # every r overflows; the ids sit in the files in reverse order
+        ids = ["z", "m", "b", "c"]
+        before = Snapshot("", {eid: number("1e-300") for eid in ids})
+        after = Snapshot("", {eid: number("1e300") for eid in ids})
+        got = _derived(derive_from_snapshots, before, after, "ratio")
+        assert got == _derived(naive_derive_from_snapshots, before, after, "ratio")
+        assert got == "non-finite r for 'b': inf"
 
 
 def test_snapshot_rejects_negative_scores():

@@ -1,10 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from momentumrank import io as mio
 from momentumrank import (
     InputError,
     StudyConfig,
@@ -19,7 +21,7 @@ from momentumrank import (
     write_report,
 )
 
-from util import random_pairs, records_from_pairs
+from util import random_pairs, records_from_pairs, system_bits
 
 
 class TestParseSnapshot:
@@ -120,6 +122,13 @@ class TestParseSnapshot:
         with pytest.raises(InputError, match="header"):
             parse_snapshot(p)
 
+    def test_field_past_csv_limit_names_line(self, tmp_path):
+        p = tmp_path / "snap.csv"
+        p.write_text(f"id,score\nA,1\n{'b' * 140_000},2\n")
+        with pytest.raises(InputError) as excinfo:
+            parse_snapshot(p)
+        assert str(excinfo.value) == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+
 
 class TestParseGainsTable:
     def test_table2_shape_and_values(self, table2):
@@ -210,6 +219,13 @@ class TestParseGainsTable:
         with pytest.raises(InputError, match=r"^line 3, column r: cannot parse number ''$"):
             parse_gains_table(p)
 
+    def test_field_past_csv_limit_names_line(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text(f"id,g,r\na,1,0.1\n{'b' * 140_000},2,0.2\n")
+        with pytest.raises(InputError) as excinfo:
+            parse_gains_table(p)
+        assert str(excinfo.value) == f"line 3: field larger than field limit ({csv.field_size_limit()})"
+
     @given(x=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_percent_equals_hundredth(self, tmp_path_factory, x):
         p = tmp_path_factory.mktemp("pct") / "g.csv"
@@ -255,6 +271,156 @@ class TestParseLeadersTable:
         with pytest.raises(InputError) as excinfo:
             parse_leaders_table(p)
         assert str(excinfo.value) == message
+
+
+HEADERS = {"gains": ["id", "score", "g", "r"], "leaders": ["id", "r", "w"], "snapshot": ["id", "score"]}
+ODD_IDS = ["e0", "", "  ", " e1 ", '"e,9"', '"e""q"', '"e5"']
+ODD_NUMBERS = ["4.6%", '"1,234"', '"0.25"', " 7 ", "-0.0", "1_0", "nan", "inf", "-inf", "1e999", "", " ", "x", "-1"]
+LINE_FAULTS = ["blank line", "whitespace line", "short row", "long row", "swap", "lone cr", "long field", "not utf-8"]
+
+
+@st.composite
+def csv_texts(draw, kind):
+    """A CSV text of one kind: plain and valid, then up to two odd cells and two line faults."""
+    header = list(HEADERS[kind])
+    if kind != "snapshot":
+        header = draw(st.permutations(header))
+        if draw(st.booleans()):
+            header.remove({"gains": "score", "leaders": "id"}[kind])
+        extra = draw(st.sampled_from([None, "name", *header]))  # a repeated name reads its last column
+        if extra:
+            header.insert(draw(st.integers(0, len(header))), extra)
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(header) - 1))
+            header[i] = f" {header[i].upper()}"
+    names = [name.strip().lower() for name in header]
+    n = draw(st.integers(0, 5))
+    rows = [
+        [
+            f"e{i}" if name == "id" else "n" if name == "name" else repr(draw(st.floats(-1e6, 1e6)))
+            for name in names
+        ]
+        for i in range(n)
+    ]
+    for row in rows:  # a score or a w is not negative
+        for j, name in enumerate(names):
+            if name in ("score", "w"):
+                row[j] = row[j].lstrip("-")
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(names) - 1))
+        rows[i][j] = draw(st.sampled_from(ODD_IDS if names[j] == "id" else ODD_NUMBERS))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [end] * len(lines)
+    for fault in draw(st.lists(st.sampled_from(LINE_FAULTS), max_size=2)):
+        at = draw(st.integers(1, len(lines)))  # a data line, or the place after the last
+        if fault == "blank line":
+            lines.insert(at, "")
+            ends.insert(at, end)
+        elif fault == "whitespace line":
+            lines.insert(at, "  ")
+            ends.insert(at, end)
+        elif at < len(lines) and fault == "short row":
+            lines[at] = lines[at].rpartition(",")[0]
+        elif at < len(lines) and fault == "long row":
+            lines[at] += ",7"
+        elif at < len(lines) - 1 and fault == "swap":
+            # one line gains a field and the next loses one: the total count stays right
+            lines[at] += "," + lines[at + 1].rpartition(",")[2]
+            lines[at + 1] = lines[at + 1].rpartition(",")[0]
+        elif fault == "lone cr":  # csv ends a record at a lone '\r', also inside a line
+            lines[at - 1] = lines[at - 1].replace(",", "\r,", 1)
+        elif fault == "long field":
+            lines[at - 1] = "9" * csv.field_size_limit() + lines[at - 1]
+        elif fault == "not utf-8":
+            lines[at - 1] += "\udcff"  # written with surrogateescape, this is the byte 0xff
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + line_end for line, line_end in zip(lines, ends))
+
+
+def _fingerprint(result) -> object:
+    if isinstance(result, tuple):  # leader rows
+        return [(eid, r.hex(), w.hex()) for eid, r, w in result]
+    if hasattr(result, "scores"):  # a snapshot
+        return result.timestamp, [(eid, score.hex()) for eid, score in result.scores.items()]
+    return system_bits(result)
+
+
+def _outcome(read, path):
+    try:
+        return _fingerprint(read(path))
+    except InputError as exc:
+        return str(exc)
+
+
+def _snapshot_rows(path):
+    return mio._snapshot_from_csv(path.read_text(encoding="utf-8"), path)
+
+
+class TestColumnarReaders:
+    """The column splitter must read every file exactly as the row reader does, or leave it to it."""
+
+    READERS = {
+        "gains": (parse_gains_table, mio._gains_from_rows),
+        "leaders": (parse_leaders_table, mio._leaders_from_rows),
+        "snapshot": (parse_snapshot, _snapshot_rows),
+    }
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(HEADERS)))
+    def test_same_result_or_message_as_the_row_reader(self, tmp_path_factory, data, kind):
+        text = data.draw(csv_texts(kind), label="text")
+        # parse_snapshot decodes the text before it picks a reader
+        assume(kind != "snapshot" or "\udcff" not in text)
+        p = tmp_path_factory.mktemp("plain") / f"{kind}.csv"
+        p.write_bytes(text.encode("utf-8", "surrogateescape"))
+        read, read_rows = self.READERS[kind]
+        assert _outcome(read, p) == _outcome(read_rows, p)
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("leaders", "r,w\n0.1,0.2,0.3\n0.4\n"),  # the total comma count is right, the lines are not
+            ("leaders", "id,r,w\ne0\r,0.1,0.2\n"),  # csv ends the record at the '\r'
+            ("gains", 'id,g,r\n"e0",1,0.1\n'),
+            ("snapshot", 'id,score\n"a""b",1\n'),
+            ("snapshot", f"id,score\n{'a' * (csv.field_size_limit() + 1)},1\n"),
+            ("gains", "id,g,r\n\ne0,1,0.1\n"),
+            ("leaders", "r\n\n0.1\n"),  # one column: a blank line would read as an empty field
+        ],
+        ids=["per-line count", "lone cr", "quoted", "escaped quote", "field limit", "blank line", "one column"],
+    )
+    def test_refused_layouts(self, tmp_path, kind, text):
+        assert mio._plain_columns(text) is None
+        p = tmp_path / f"{kind}.csv"
+        p.write_bytes(text.encode())
+        read, read_rows = self.READERS[kind]
+        assert _outcome(read, p) == _outcome(read_rows, p)
+
+    def test_plain_files_never_reach_the_row_reader(self, tmp_path, monkeypatch):
+        # benchmark-shaped input: ids in order, shortest-repr floats, no quoting
+        rng = np.random.default_rng(5)
+        n = 2_000
+        ids = [f"e{i:06d}" for i in range(n)]
+        score, g, r = rng.random(n) * 1e3, rng.normal(0, 1e2, n), rng.normal(0, 1, n)
+        files = {
+            "gains": ("id,score,g,r", zip(ids, score.tolist(), g.tolist(), r.tolist())),
+            "leaders": ("id,r,w", zip(ids, r.tolist(), score.tolist())),
+            "snapshot": ("id,score", zip(ids, score.tolist())),
+        }
+        expected = {}
+        for kind, (header, rows) in files.items():
+            p = tmp_path / f"{kind}.csv"
+            p.write_text(header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+            expected[kind] = (p, _outcome(self.READERS[kind][1], p))
+
+        def row_reader_used(*args, **kwargs):
+            raise AssertionError("a plain CSV file went through the row reader")
+
+        monkeypatch.setattr(mio, "_number", row_reader_used)
+        for kind, (p, rows_outcome) in expected.items():
+            assert _outcome(self.READERS[kind][0], p) == rows_outcome
 
 
 class TestRoundTrip:

@@ -156,6 +156,27 @@ class TestMomentousness:
         with pytest.raises(InputError, match="leader row"):
             momentousness([("a", 1.0, 2.0, 3.0, 4.0)])
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([("a", 0.1, 0.5), ("a", 0.2, 0.7), ("b", 0.1, -0.5)], "duplicate entity id 'a'"),
+            ([("a", math.nan, 0.5)], "non-finite r for 'a': nan"),
+            ([("a", 0.1, 0.5), ("b", 0.2, -0.5)], "negative w for 'b': -0.5"),
+            ([("a", 0.1, math.inf)], "non-finite w for 'a': inf"),
+            ([(" ", 0.1, 0.5)], "empty entity id"),
+            ([(0.1, 0.5), ("1", 0.2, 0.7)], "duplicate entity id '1'"),  # repeats a row number
+            ([("a", 0.1, -0.5), ("b", 1.0, 2.0, 3.0)], "negative w for 'a': -0.5"),  # before the later shape fault
+        ],
+        ids=["duplicate", "nan r", "negative w", "inf w", "blank id", "row number", "earlier row first"],
+    )
+    def test_rows_obey_the_leader_table_rules(self, rows, message):
+        # the same rules as --leaders-csv, without a line number
+        with pytest.raises(InputError) as excinfo:
+            momentousness(rows)
+        assert str(excinfo.value) == message
+        with pytest.raises(InputError):
+            compare_systems(TABLE8_ROWS, rows)
+
 
 class TestCompareSystems:
     def test_outlier_system_wins(self):

@@ -177,3 +177,58 @@ def records_from_pairs(g, r, scores=None) -> list[tuple]:
     if scores is None:
         return [(f"e{i:04d}", float(g[i]), float(r[i])) for i in range(len(g))]
     return [(f"e{i:04d}", float(scores[i]), float(g[i]), float(r[i])) for i in range(len(g))]
+
+
+def naive_derive_from_snapshots(before, after, mode: str = "ratio"):
+    """``derive_from_snapshots`` as a walk of the sorted union of ids, one dict lookup at a time.
+
+    The loop computes each entity's g and r in sorted id order and builds the
+    warnings as it meets the exclusions; only the final build is shared with
+    the package.
+    """
+    from momentumrank.core import _build
+
+    if mode == "share_delta":
+        before_total = sum(before.scores.values())
+        after_total = sum(after.scores.values())
+
+    warnings: list[str] = []
+    ids, base, gains, rel = [], [], [], []
+    for eid in sorted(set(before.scores) | set(after.scores)):
+        if eid not in before.scores:
+            warnings.append(f"excluded {eid!r}: present only in the after snapshot")
+            continue
+        if eid not in after.scores:
+            warnings.append(f"excluded {eid!r}: present only in the before snapshot")
+            continue
+        old, new = before.scores[eid], after.scores[eid]
+        g = new - old
+        if mode == "ratio":
+            if old == 0:
+                warnings.append(f"excluded {eid!r}: relative gain undefined (zero score before the window)")
+                continue
+            r = g / old
+        else:
+            r = new / after_total - old / before_total
+        ids.append(eid)
+        base.append(old)
+        gains.append(g)
+        rel.append(r)
+
+    window = ""
+    if before.timestamp or after.timestamp:
+        window = f"{before.timestamp}..{after.timestamp}"
+    return _build(ids, base, gains, rel, window), tuple(warnings)
+
+
+def system_bits(ds) -> tuple:
+    """Everything a system holds, with floats as their exact bits (-0.0 differs from 0.0)."""
+    return (
+        ds.ids,
+        ds.window,
+        ds.total_score.hex(),
+        ds.has_scores,
+        ds.g.tobytes(),
+        ds.r.tobytes(),
+        ds.score.tobytes(),
+    )
