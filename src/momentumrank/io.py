@@ -79,7 +79,7 @@ def _snapshot_from_json(text: str, path) -> Snapshot:
     return Snapshot(timestamp=str(fields.get("timestamp", "")), scores=dict(zip(ids, values)))
 
 
-def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
+def _plain_columns(text: str, numbers: Sequence[str]) -> tuple[list[str], list[list[str]]] | None:
     """Split a CSV text that needs no quoting rules into header names and data columns.
 
     Returns None, leaving the text to the row reader, unless the text has no
@@ -87,8 +87,20 @@ def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
     field count (at least two) and no field longer than
     ``csv.field_size_limit()`` bytes. On such a text ``csv.reader`` reads
     each line as the line split at every ','. Names are stripped and lowercased.
+    The first data row's cells in the ``numbers`` columns must parse with
+    ``float``, so a table of percent strings or blank scores is refused
+    before the whole text is split.
     """
     if '"' in text or "\r" in text or "\0" in text:
+        return None
+    end = text.find("\n", text.find("\n") + 1)  # slice the first two lines only: no copy of the rest
+    header, _, first = text[: end if end >= 0 else None].partition("\n")
+    names = [name.strip().lower() for name in header.split(",")]
+    first_row = dict(zip(names, first.split(",")))
+    try:
+        for name in numbers:
+            float(first_row.get(name, 0))
+    except ValueError:
         return None
     if not text.endswith("\n"):
         text += "\n"
@@ -106,12 +118,12 @@ def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
     del data, seps, ends, by_line
     fields = text.replace("\n", ",").split(",")
     fields.pop()  # the empty text after the last newline
-    return [name.strip().lower() for name in fields[:k]], [fields[k + i :: k] for i in range(k)]
+    return names, [fields[k + i :: k] for i in range(k)]
 
 
 def _snapshot_from_columns(text: str) -> Snapshot | None:
     """The columnar twin of ``_snapshot_from_csv``; None leaves the text to it."""
-    plain = _plain_columns(text)
+    plain = _plain_columns(text, ("score",))
     if plain is None or plain[0] != ["id", "score"] or not plain[1][0]:
         return None
     try:
@@ -158,38 +170,37 @@ def _snapshot_from_csv(text: str, path) -> Snapshot:
     return Snapshot(timestamp="", scores=dict(zip(ids, scores)))
 
 
-def _table_rows(path, required: set[str], expected: str):
+def _read_table(path) -> str:
+    """A CSV table's whole text with its line ends as written; one that is not UTF-8 is an InputError.
+
+    The file is read once, so a pipe such as ``/dev/stdin`` can be read too.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _table_rows(text: str, path, required: set[str], expected: str):
     """Yield a CSV table's column positions, then ``(line, row)`` per data row.
 
     The header is stripped and lowercased, and a repeated name maps to its
     last column. Blank lines are skipped and short rows padded with "".
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = _csv_rows(reader)
-            fields = [f.strip().lower() for f in next(rows, [])]
-            missing = required - set(fields)
-            if missing:
-                raise InputError(f"{path}: expected columns {expected} (missing {sorted(missing)})")
-            yield {name: i for i, name in enumerate(fields)}
-            for row in rows:
-                if row:
-                    if len(row) < len(fields):
-                        row += [""] * (len(fields) - len(row))
-                    yield reader.line_num, row
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
-
-
-def _read_plain(path) -> tuple[list[str], list[list[str]]] | None:
-    """``_plain_columns`` of a file; None also when it is not UTF-8, which the row reader reports."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            return None
-    return _plain_columns(text)
+    # read the text back as the file was read: a StringIO would hold four bytes per character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=""))
+    rows = _csv_rows(reader)
+    fields = [f.strip().lower() for f in next(rows, [])]
+    missing = required - set(fields)
+    if missing:
+        raise InputError(f"{path}: expected columns {expected} (missing {sorted(missing)})")
+    yield {name: i for i, name in enumerate(fields)}
+    for row in rows:
+        if row:
+            if len(row) < len(fields):
+                row += [""] * (len(fields) - len(row))
+            yield reader.line_num, row
 
 
 def parse_gains_table(path, window: str = "") -> DeltaSystem:
@@ -197,13 +208,14 @@ def parse_gains_table(path, window: str = "") -> DeltaSystem:
 
     Row order defines rank when the score column is absent or has a blank cell.
     """
-    system = _gains_from_columns(path, window)
-    return system if system is not None else _gains_from_rows(path, window)
+    text = _read_table(path)
+    system = _gains_from_columns(text, window)
+    return system if system is not None else _gains_from_rows(text, path, window)
 
 
-def _gains_from_columns(path, window: str) -> DeltaSystem | None:
-    """The columnar twin of ``_gains_from_rows``; None leaves the file to it."""
-    plain = _read_plain(path)
+def _gains_from_columns(text: str, window: str) -> DeltaSystem | None:
+    """The columnar twin of ``_gains_from_rows``; None leaves the text to it."""
+    plain = _plain_columns(text, ("score", "g", "r"))
     if plain is None:
         return None
     column = dict(zip(*plain))  # a repeated name keeps its last column, as in _table_rows
@@ -211,7 +223,10 @@ def _gains_from_columns(path, window: str) -> DeltaSystem | None:
     if not {"id", "g", "r"} <= column.keys():
         return None
     try:
-        ids, g, r = list(map(str.strip, column["id"])), list(map(float, column["g"])), list(map(float, column["r"]))
+        ids = list(map(str.strip, column["id"]))
+        # g and r become float64 arrays with no float object per cell; the memory saved
+        # pays for keeping the text for the row reader until _build has passed
+        g, r = (np.fromiter(map(float, column[name]), np.float64, len(ids)) for name in ("g", "r"))
         score = list(map(float, column["score"])) if "score" in column else [None] * len(ids)
         del column
         return _build(ids, score, g, r, window)
@@ -219,8 +234,8 @@ def _gains_from_columns(path, window: str) -> DeltaSystem | None:
         return None
 
 
-def _gains_from_rows(path, window: str = "") -> DeltaSystem:
-    rows = _table_rows(path, {"id", "g", "r"}, "id[,score],g,r")
+def _gains_from_rows(text: str, path, window: str = "") -> DeltaSystem:
+    rows = _table_rows(text, path, {"id", "g", "r"}, "id[,score],g,r")
     id_at, g_at, r_at, score_at = map(next(rows).get, ("id", "g", "r", "score"))
     ids, score, g, r, lines = [], [], [], [], array("l")
     try:
@@ -241,29 +256,7 @@ def _gains_from_rows(path, window: str = "") -> DeltaSystem:
 
 def parse_leaders_table(path) -> tuple[tuple[str, float, float], ...]:
     """Read pre-computed leader rows: columns ``[id,]r,w``; returns (id, r, w)."""
-    rows = _leaders_from_columns(path)
-    return rows if rows is not None else _leaders_from_rows(path)
-
-
-def _leaders_from_columns(path) -> tuple[tuple[str, float, float], ...] | None:
-    """The columnar twin of ``_leaders_from_rows``; None leaves the file to it."""
-    plain = _read_plain(path)
-    if plain is None:
-        return None
-    column = dict(zip(*plain))
-    if not {"r", "w"} <= column.keys() or not column["r"]:
-        return None
-    try:
-        r, w = list(map(float, column["r"])), list(map(float, column["w"]))
-        ids = [eid or str(i) for i, eid in enumerate(map(str.strip, column.get("id", [""] * len(r))), start=1)]
-        _check_columns(ids, {"r": r, "w": w})
-    except ValueError:  # also InputError: the row reader names the faulty line
-        return None
-    return tuple(zip(ids, r, w))
-
-
-def _leaders_from_rows(path) -> tuple[tuple[str, float, float], ...]:
-    rows = _table_rows(path, {"r", "w"}, "[id,]r,w")
+    rows = _table_rows(_read_table(path), path, {"r", "w"}, "[id,]r,w")
     id_at, r_at, w_at = map(next(rows).get, ("id", "r", "w"))
     ids, r, w, lines = [], [], [], array("l")
     try:

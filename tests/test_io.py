@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -273,7 +274,8 @@ class TestParseLeadersTable:
         assert str(excinfo.value) == message
 
 
-HEADERS = {"gains": ["id", "score", "g", "r"], "leaders": ["id", "r", "w"], "snapshot": ["id", "score"]}
+HEADERS = {"gains": ["id", "score", "g", "r"], "snapshot": ["id", "score"]}
+NUMBERS = {"gains": ("score", "g", "r"), "snapshot": ("score",)}
 ODD_IDS = ["e0", "", "  ", " e1 ", '"e,9"', '"e""q"', '"e5"']
 ODD_NUMBERS = ["4.6%", '"1,234"', '"0.25"', " 7 ", "-0.0", "1_0", "nan", "inf", "-inf", "1e999", "", " ", "x", "-1"]
 LINE_FAULTS = ["blank line", "whitespace line", "short row", "long row", "swap", "lone cr", "long field", "not utf-8"]
@@ -283,10 +285,10 @@ LINE_FAULTS = ["blank line", "whitespace line", "short row", "long row", "swap",
 def csv_texts(draw, kind):
     """A CSV text of one kind: plain and valid, then up to two odd cells and two line faults."""
     header = list(HEADERS[kind])
-    if kind != "snapshot":
+    if kind == "gains":
         header = draw(st.permutations(header))
         if draw(st.booleans()):
-            header.remove({"gains": "score", "leaders": "id"}[kind])
+            header.remove("score")
         extra = draw(st.sampled_from([None, "name", *header]))  # a repeated name reads its last column
         if extra:
             header.insert(draw(st.integers(0, len(header))), extra)
@@ -302,9 +304,9 @@ def csv_texts(draw, kind):
         ]
         for i in range(n)
     ]
-    for row in rows:  # a score or a w is not negative
+    for row in rows:  # a score is not negative
         for j, name in enumerate(names):
-            if name in ("score", "w"):
+            if name == "score":
                 row[j] = row[j].lstrip("-")
     for _ in range(draw(st.integers(0, 2)) if n else 0):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(names) - 1))
@@ -358,12 +360,15 @@ def _snapshot_rows(path):
     return mio._snapshot_from_csv(path.read_text(encoding="utf-8"), path)
 
 
+def _gains_rows(path):
+    return mio._gains_from_rows(mio._read_table(path), path)
+
+
 class TestColumnarReaders:
     """The column splitter must read every file exactly as the row reader does, or leave it to it."""
 
     READERS = {
-        "gains": (parse_gains_table, mio._gains_from_rows),
-        "leaders": (parse_leaders_table, mio._leaders_from_rows),
+        "gains": (parse_gains_table, _gains_rows),
         "snapshot": (parse_snapshot, _snapshot_rows),
     }
 
@@ -381,18 +386,23 @@ class TestColumnarReaders:
     @pytest.mark.parametrize(
         "kind, text",
         [
-            ("leaders", "r,w\n0.1,0.2,0.3\n0.4\n"),  # the total comma count is right, the lines are not
-            ("leaders", "id,r,w\ne0\r,0.1,0.2\n"),  # csv ends the record at the '\r'
+            ("gains", "id,g,r\ne0,0.1,0.2,0.3\ne1,0.4\n"),  # the total comma count is right, the lines are not
+            ("gains", "id,g,r\ne0\r,0.1,0.2\n"),  # csv ends the record at the '\r'
             ("gains", 'id,g,r\n"e0",1,0.1\n'),
             ("snapshot", 'id,score\n"a""b",1\n'),
             ("snapshot", f"id,score\n{'a' * (csv.field_size_limit() + 1)},1\n"),
             ("gains", "id,g,r\n\ne0,1,0.1\n"),
-            ("leaders", "r\n\n0.1\n"),  # one column: a blank line would read as an empty field
+            ("snapshot", "id\n\na\n"),  # one column: a blank line would read as an empty field
+            ("gains", "id,score,g,r\ne0,1,2,4.6%\ne1,1,2,0.1\n"),  # refused before the split
+            ("gains", "id,score,g,r\ne0,,2,0.1\ne1,1,2,0.1\n"),
         ],
-        ids=["per-line count", "lone cr", "quoted", "escaped quote", "field limit", "blank line", "one column"],
+        ids=[
+            "per-line count", "lone cr", "quoted", "escaped quote", "field limit", "blank line", "one column",
+            "first row percent", "first row blank score",
+        ],
     )
     def test_refused_layouts(self, tmp_path, kind, text):
-        assert mio._plain_columns(text) is None
+        assert mio._plain_columns(text, NUMBERS[kind]) is None
         p = tmp_path / f"{kind}.csv"
         p.write_bytes(text.encode())
         read, read_rows = self.READERS[kind]
@@ -406,7 +416,6 @@ class TestColumnarReaders:
         score, g, r = rng.random(n) * 1e3, rng.normal(0, 1e2, n), rng.normal(0, 1, n)
         files = {
             "gains": ("id,score,g,r", zip(ids, score.tolist(), g.tolist(), r.tolist())),
-            "leaders": ("id,r,w", zip(ids, r.tolist(), score.tolist())),
             "snapshot": ("id,score", zip(ids, score.tolist())),
         }
         expected = {}
@@ -421,6 +430,19 @@ class TestColumnarReaders:
         monkeypatch.setattr(mio, "_number", row_reader_used)
         for kind, (p, rows_outcome) in expected.items():
             assert _outcome(self.READERS[kind][0], p) == rows_outcome
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("read, name", [(parse_gains_table, "table2.csv"), (parse_leaders_table, "table8.csv")])
+    def test_a_pipe_is_read_once(self, fixtures_dir, read, name):
+        # the splitter refuses the quoted gains table, and the row reader must read the same text:
+        # opening the pipe a second time would find it empty
+        out, into = os.pipe()
+        try:
+            os.write(into, (fixtures_dir / name).read_bytes())  # smaller than a pipe's buffer
+            os.close(into)
+            assert _outcome(read, f"/dev/fd/{out}") == _outcome(read, fixtures_dir / name)
+        finally:
+            os.close(out)
 
 
 class TestRoundTrip:
