@@ -265,6 +265,8 @@ def derive_from_snapshots(
         after_total = sum(after.scores.values())
         if before_total <= 0 or after_total <= 0:
             raise InputError("share_delta requires a positive total score in both snapshots")
+        if before_total == math.inf or after_total == math.inf:
+            raise InputError("share_delta requires a finite total score in both snapshots")
 
     old_scores, new_scores = before.scores, after.scores
     ids = [eid for eid in old_scores if eid in new_scores]

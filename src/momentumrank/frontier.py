@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DeltaSystem, EntityGain, InputError, dominates
+from .core import DeltaSystem, InputError, dominates
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,19 @@ class BoundCheck(NamedTuple):
     holds: bool
 
 
-class LeaderRow(NamedTuple):
-    """What one entity m leads: w(m), its rank interval and |D(m)|.
+class LeaderTable(NamedTuple):
+    """What each leader m leads, as columns in rank order.
 
-    ``w`` is None when the system has no usable scores.
+    ``positions`` holds each leader's rank minus 1, ``w`` its w(m) (None
+    when the system has no usable scores), ``left`` and ``right`` the ends
+    of its inclusive rank interval (L, R), and ``dominated`` its |D(m)|.
     """
 
-    entity: EntityGain
-    w: float | None
-    interval: tuple[int, int]
-    dominated: int
+    positions: np.ndarray
+    w: np.ndarray | None
+    left: np.ndarray
+    right: np.ndarray
+    dominated: np.ndarray
 
 
 _SAMPLE = 512  # points in the strided sample whose staircase screens the input
@@ -162,45 +165,156 @@ def _ids(ds: DeltaSystem, positions: np.ndarray) -> tuple[str, ...]:
     return tuple(map(ds.ids.__getitem__, positions.tolist()))
 
 
-def _dominated_mask(ds: DeltaSystem, entity_id: str) -> tuple[int, np.ndarray]:
-    """Position of ``entity_id`` in rank order and the mask of the entities it dominates."""
+def _dominated_mask(ds: DeltaSystem, entity_id: str) -> np.ndarray:
+    """The mask of the entities that ``entity_id`` dominates."""
     pos = ds.index(entity_id)
-    return pos, (ds.g < ds.g[pos]) & (ds.r < ds.r[pos])
-
-
-def leader_row(ds: DeltaSystem, entity_id: str) -> LeaderRow:
-    """w(m), the interval and |D(m)| of one entity, usually a leader.
-
-    ``w`` sums the normalized scores of D(m) with ``math.fsum``, so it is
-    exactly rounded whatever the summation order. The interval is the
-    inclusive rank range (L, R) around m whose other members all lie in
-    D(m): it ends just inside the nearest entity on each side that m does
-    not dominate.
-    """
-    pos, mask = _dominated_mask(ds, entity_id)
-    w = None
-    if ds.has_scores and ds.total_score > 0:
-        w = math.fsum((ds.score[mask] / ds.total_score).tolist())
-    left = np.flatnonzero(~mask[:pos])
-    right = np.flatnonzero(~mask[pos + 1 :])
-    lo = int(left[-1]) + 2 if left.size else 1
-    hi = pos + int(right[0]) + 1 if right.size else ds.n
-    return LeaderRow(ds.by_rank(pos + 1), w, (lo, hi), int(np.count_nonzero(mask)))
+    return (ds.g < ds.g[pos]) & (ds.r < ds.r[pos])
 
 
 def dominated_set(ds: DeltaSystem, entity_id: str) -> frozenset[str]:
-    """All ids strictly below ``entity_id`` in both g and r.
+    """All ids strictly below ``entity_id`` in both g and r; O(n) per call.
 
     Dominated sets of different leaders may overlap; the entity itself is
     never a member.
     """
-    _, mask = _dominated_mask(ds, entity_id)
-    return frozenset(_ids(ds, np.flatnonzero(mask)))
+    return frozenset(_ids(ds, np.flatnonzero(_dominated_mask(ds, entity_id))))
 
 
 def interval(ds: DeltaSystem, entity_id: str) -> tuple[int, int]:
-    """Maximal contiguous rank range (L, R) around the entity lying in its D(m)."""
-    return leader_row(ds, entity_id).interval
+    """Maximal contiguous rank range (L, R) around the entity lying in its D(m); O(n) per call."""
+    left, right = _intervals(ds, np.array([ds.index(entity_id)]))
+    return int(left[0]), int(right[0])
+
+
+def _has_weights(ds: DeltaSystem) -> bool:
+    """True when every entity has a score and the scores sum to a finite positive total."""
+    return ds.has_scores and 0 < ds.total_score < math.inf
+
+
+def leader_rows(ds: DeltaSystem) -> LeaderTable:
+    """w(m), the interval and |D(m)| of every leader, in O(n log n) whatever the frontier size.
+
+    Sorted by descending g, ties by ascending r, the leaders form a
+    staircase along which r never falls. The leaders with g above an
+    entity's are a prefix of that order and those with r above it a
+    suffix, so the leaders that dominate entity e are one range
+    ``[lo_e, hi_e)``, found by two binary searches. A difference array over
+    the ranges counts |D(m)|, and ``_range_fsums`` sums the normalized
+    scores over them with the bits of ``math.fsum``.
+    """
+    _require_entities(ds)
+    positions = np.flatnonzero(leader_mask(ds.g, ds.r))
+    size = len(positions)
+    stair = positions[np.lexsort((ds.r[positions], -ds.g[positions]))]
+    lo = np.searchsorted(ds.r[stair], ds.r, side="right")
+    hi = np.maximum(size - np.searchsorted(ds.g[stair][::-1], ds.g, side="right"), lo)
+    dominated = np.cumsum(np.bincount(lo, minlength=size + 1) - np.bincount(hi, minlength=size + 1))[:size]
+    w = _range_fsums(ds.score / ds.total_score, lo, hi, size) if _has_weights(ds) else None
+    del lo, hi  # two columns of n, freed before the interval search
+    rank_order = np.argsort(stair)  # staircase order to rank order
+    left, right = _intervals(ds, positions)
+    return LeaderTable(positions, None if w is None else w[rank_order], left, right, dominated[rank_order])
+
+
+_BITS = 27  # a term spans at most three limbs, and fewer than 2**26 limbs sum exactly in float64
+_LIMB = 2.0**_BITS
+
+
+def _range_fsums(terms: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+    """For k < size, the correctly rounded sum of ``terms[e]`` over every e with lo[e] <= k < hi[e].
+
+    Every term is finite and not negative: an integer K_e times 2**base,
+    base the lowest bit of any term, and K_e spans at most three 27-bit
+    limbs. One pass per limb position j sums limb j of every K_e over the
+    ranges, with a difference array and a prefix sum that are exact in
+    float64, and carries into limb j + 1. Each range keeps the three limbs
+    from its highest non-zero one down, at least 55 bits, and a sticky bit
+    for any non-zero limb below them. They round to the same float as the
+    exact sum, so one correctly rounded int division per range gives the
+    bits of ``math.fsum``. Memory is O(n + size) whatever the exponents span.
+    """
+    keep = np.flatnonzero((lo < hi) & (terms > 0))
+    if keep.size >= 1 << 26:
+        raise InputError("weights are summed exactly for fewer than 2**26 dominated entities")
+    sums = np.zeros(size)
+    if not keep.size:
+        return sums
+    low_bit = np.frexp(terms[keep])[1] - 53  # each term is an integer times 2**low_bit
+    base = int(low_bit.min())
+    first = ((low_bit - base) // _BITS).astype(np.int8)  # the term's lowest limb: 1126 // 27 at most
+    order = np.argsort(first, kind="stable")
+    keep, first = keep[order], first[order]
+    terms, lo, hi = terms[keep], lo[keep], hi[keep]
+    del keep, low_bit, order
+    # terms[bounds[f]:] have their lowest limb at f or above, so limb j is in terms[bounds[j - 2]:bounds[j + 1]]
+    bounds = np.searchsorted(first, np.arange(int(first[-1]) + 4))
+    end = len(bounds) - 1
+    ring = np.zeros((size, 3))  # limbs j, j - 1 and j - 2 of every sum
+    below = np.zeros(size, dtype=bool)  # a non-zero limb under the ring
+    head = np.zeros((size, 3))  # the ring when the highest non-zero limb entered it
+    top = np.full(size, -1)
+    sticky = np.zeros(size, dtype=bool)
+    carry = np.zeros(size)
+    j = 0
+    while j < end or carry.any():
+        part = slice(bounds[min(max(j - 2, 0), end)], bounds[min(j + 1, end)])
+        upto = np.floor(np.ldexp(terms[part], -base - _BITS * j))  # limbs j and up of each K_e
+        limb = upto - np.floor(upto / _LIMB) * _LIMB
+        diff = np.bincount(lo[part], limb, size + 1) - np.bincount(hi[part], limb, size + 1)
+        total = np.cumsum(diff[:size]) + carry
+        carry = np.floor(total / _LIMB)
+        below |= ring[:, 2] != 0
+        ring[:, 1:] = ring[:, :-1]
+        ring[:, 0] = total - carry * _LIMB
+        new_top = ring[:, 0] != 0
+        head[new_top], sticky[new_top], top[new_top] = ring[new_top], below[new_top], j
+        j += 1
+    # a sum is its three limbs, then the sticky bit, over 2**shift
+    done = np.flatnonzero(top >= 0)
+    limbs = head[done].astype(np.int64)
+    upper = (limbs[:, 0] << _BITS | limbs[:, 1]).tolist()
+    lower = limbs[:, 2].tolist()
+    bit = sticky[done].astype(np.int64).tolist()
+    shift = (_BITS * (2 - top[done]) - base + sticky[done]).tolist()
+    sums[done] = [((u << _BITS | v) << s | s) / (1 << e) for u, v, s, e in zip(upper, lower, bit, shift)]
+    return sums
+
+
+def _intervals(ds: DeltaSystem, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive 1-based rank range (L, R) around each position whose other members it dominates.
+
+    m does not dominate e exactly when g_e >= g_m or r_e >= r_m. The range
+    ends just inside the nearest such entity on each side.
+    """
+    left = _previous_undominated(ds.g, ds.r, positions)
+    right = ds.n - 1 - _previous_undominated(ds.g[::-1], ds.r[::-1], ds.n - 1 - positions)
+    return left + 2, right
+
+
+def _previous_undominated(g: np.ndarray, r: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Per position p, the largest q < p with g[q] >= g[p] or r[q] >= r[p], or -1 if there is none.
+
+    The positions below p are tested in windows of 1, 1, 2, 4, ... until
+    such a q turns up, so a search that passes d positions p dominates
+    tests fewer than 2 * (d + 1). No leader dominates another, so the runs
+    that the leaders dominate below them are disjoint, and one call over
+    every leader tests O(n) positions in all, at most n in one pass.
+    """
+    gp, rp = g[positions], r[positions]
+    found = np.full(len(positions), -1)
+    todo = np.arange(len(positions))
+    below = positions - 1  # the highest position not yet tested
+    width = covered = 1
+    while todo.size:
+        q = below[todo, None] - np.arange(width)
+        at = np.maximum(q, 0)
+        hit = (q >= 0) & ((g[at] >= gp[todo, None]) | (r[at] >= rp[todo, None]))
+        done = hit.any(axis=1)
+        found[todo[done]] = q[done, hit[done].argmax(axis=1)]
+        below[todo] -= width
+        todo = todo[~done & (below[todo] >= 0)]
+        width, covered = covered, covered * 2
+    return found
 
 
 def moving_maxima(values: Sequence[float]) -> MovingMaxima:

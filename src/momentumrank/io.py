@@ -12,13 +12,14 @@ import io
 import json
 import math
 from array import array
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import DeltaSystem, InputError, Snapshot, _build, _check_columns
-from .frontier import BoundCheck, FrontierResult, leader_row
+from .frontier import BoundCheck, FrontierResult, leader_rows
 from .ranking import LeaderRanking, MomentousnessScore, SystemComparison
 from .simulation import StudyResult
 
@@ -311,11 +312,10 @@ def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
         return _fmt_human(value).replace("|", "\\|")
 
     lines = [
-        "| " + " | ".join(cell(h) for h in header) + " |",
+        "| " + " | ".join(map(cell, header)) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
-    for row in rows:
-        lines.append("| " + " | ".join(cell(c) for c in row) + " |")
+    lines += ["| " + " | ".join(map(cell, row)) + " |" for row in rows]
     return "\n".join(lines)
 
 
@@ -334,15 +334,20 @@ class _Report(NamedTuple):
 
 
 def _frontier_report(result: FrontierResult, layers) -> _Report:
+    ds = result.system
     header = ["id", "rank", "g", "r", "w", "interval", "|D(m)|"]
-    rows = []
-    for leader_id in result.leaders:
-        e, w, (lo, hi), dominated = leader_row(result.system, leader_id)
-        rows.append([e.id, e.rank, e.g, e.r, w, f"{lo}..{hi}", dominated])
+    table = leader_rows(ds)
+    at = table.positions
+    w = [None] * len(at) if table.w is None else table.w.tolist()
+    columns = at.tolist(), ds.g[at].tolist(), ds.r[at].tolist(), w, table.left.tolist(), table.right.tolist()
+    rows = [
+        [ds.ids[i], i + 1, g, r, w_m, f"{lo}..{hi}", count]
+        for i, g, r, w_m, lo, hi, count in zip(*columns, table.dominated.tolist())
+    ]
     payload = {
         "algorithm": result.algorithm,
-        "window": result.system.window,
-        "n": result.system.n,
+        "window": ds.window,
+        "n": ds.n,
         "leaders": [dict(zip(["id", "rank", "g", "r", "w", "interval", "dominated"], row)) for row in rows],
     }
     markdown = [(header, rows)]
@@ -350,11 +355,16 @@ def _frontier_report(result: FrontierResult, layers) -> _Report:
         return _Report(payload, header, rows, markdown)
     payload["layers"] = [list(layer) for layer in layers]
     flat = [[1, *row] for row in rows]
+    # one scan finds the runner-ups, so no id index over all n is built
+    wanted = set().union(*layers[1:])
+    where = {ds.ids[i]: i for i in compress(range(ds.n), map(wanted.__contains__, ds.ids))}
     trailer = []
     for depth, layer in enumerate(layers[1:], start=2):
         for leader_id in layer:
-            e = result.system.by_id(leader_id)
-            flat.append([depth, e.id, e.rank, e.g, e.r, None, None, None])
+            if leader_id not in where:
+                raise InputError(f"unknown entity id {leader_id!r}")
+            i = where[leader_id]
+            flat.append([depth, leader_id, i + 1, float(ds.g[i]), float(ds.r[i]), None, None, None])
         trailer.append(f"Layer {depth}: {', '.join(layer)}")
     if trailer:
         markdown.append("\n".join(trailer))

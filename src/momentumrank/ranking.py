@@ -11,8 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+import numpy as np
+
 from .core import DeltaSystem, InputError, _check_columns
-from .frontier import frontier_sortscan, leader_row
+from .frontier import _has_weights, leader_rows
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ def _require_weights(ds: DeltaSystem) -> None:
         raise InputError("weights require scores on every entity")
     if ds.total_score <= 0:
         raise InputError("weights require a positive total score")
+    if not _has_weights(ds):
+        raise InputError(f"weights require a finite total score, got {ds.total_score}")
 
 
 def normalized_weights(ds: DeltaSystem) -> dict[str, float]:
@@ -65,27 +69,28 @@ def normalized_weights(ds: DeltaSystem) -> dict[str, float]:
 
 def leader_weight(ds: DeltaSystem, leader_id: str) -> float:
     """w(m): summed normalized scores of the entities m dominates."""
-    leaders = frontier_sortscan(ds).leader_set
-    if leader_id not in leaders:
+    table = leader_rows(ds)
+    ids = list(map(ds.ids.__getitem__, table.positions.tolist()))
+    if leader_id not in ids:
         raise InputError(f"{leader_id!r} is not a momentum leader")
     _require_weights(ds)
-    return leader_row(ds, leader_id).w
+    return float(table.w[ids.index(leader_id)])
 
 
-def _leader_rows(ds: DeltaSystem) -> list[tuple[str, float, float]]:
-    result = frontier_sortscan(ds)
+def _weighted_leaders(ds: DeltaSystem) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The leaders' ids, w and r, in rank order."""
+    table = leader_rows(ds)
     _require_weights(ds)
-    rows = []
-    for leader_id in result.leaders:
-        row = leader_row(ds, leader_id)
-        rows.append((leader_id, row.w, row.entity.r))
-    return rows
+    return list(map(ds.ids.__getitem__, table.positions.tolist())), table.w, ds.r[table.positions]
 
 
 def rank_leaders(ds: DeltaSystem) -> LeaderRanking:
-    rows = _leader_rows(ds)
-    rows.sort(key=lambda row: (-row[1], -row[2], row[0]))
-    return LeaderRanking(entries=tuple(rows))
+    ids, w, r = _weighted_leaders(ds)
+    # stable sorts: by id, then by r descending, then by w descending
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    order = by_id[np.lexsort((-r[by_id], -w[by_id]))]
+    ranked = map(ids.__getitem__, order.tolist())
+    return LeaderRanking(entries=tuple(zip(ranked, w[order].tolist(), r[order].tolist())))
 
 
 def momentousness(source: SystemOrLeaders) -> MomentousnessScore:
@@ -95,9 +100,8 @@ def momentousness(source: SystemOrLeaders) -> MomentousnessScore:
     be negative.
     """
     if isinstance(source, DeltaSystem):
-        terms = tuple(
-            (leader_id, r, w, r * w) for leader_id, w, r in _leader_rows(source)
-        )
+        ids, w, r = _weighted_leaders(source)
+        terms = tuple(zip(ids, r.tolist(), w.tolist(), (r * w).tolist()))
     else:
         terms = _leader_terms(source)
     return MomentousnessScore(

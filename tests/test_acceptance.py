@@ -24,6 +24,7 @@ from momentumrank import (
     moving_maxima,
     parse_gains_table,
     parse_leaders_table,
+    rank_leaders,
     run_study,
     runners_up,
     verify_bound,
@@ -195,6 +196,19 @@ def test_criterion_12_sortscan_speed_at_200k():
     assert elapsed < 1.0
     assert 1 <= len(result.leaders) <= n
     _ok(12, f"sortscan over N=200,000 in {elapsed * 1e3:.0f} ms")
+
+
+def test_criterion_14_rank_leaders_with_every_entity_leading_at_200k():
+    rng = np.random.default_rng(1014)
+    n = 200_000
+    x = rng.permutation(n).astype(float)
+    ds = build_delta_system(records_from_pairs(x, -x, rng.random(n) * 1e6))  # anti-diagonal: all lead
+    start = time.perf_counter()
+    ranking = rank_leaders(ds)
+    elapsed = time.perf_counter() - start
+    assert len(ranking.entries) == n
+    assert elapsed < 2.0
+    _ok(14, f"rank_leaders over N=200,000 leaders in {elapsed * 1e3:.0f} ms")
 
 
 def test_criterion_13_cli_output_is_byte_identical():

@@ -243,6 +243,34 @@ def test_w_identical_across_leaders_rank_and_leader_weight(capsys, tmp_path, sty
         assert from_leaders == from_rank == from_api
 
 
+@pytest.mark.parametrize("command", ["rank", "momentousness"])
+def test_scores_summing_past_the_float_range_exit_2(capsys, tmp_path, command):
+    # finite scores whose total is inf would make every w 0
+    path = tmp_path / "huge.csv"
+    path.write_text("id,score,g,r\na,1e308,1,0.5\nb,1e308,0.5,1\nc,1e308,0.1,0.1\n")
+    code, out, err = run_cli(capsys, command, "--gains", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: weights require a finite total score, got inf\n"
+
+
+def test_leaders_leave_w_blank_when_scores_sum_past_the_float_range(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("id,score,g,r\na,1e308,1,0.5\nb,1e308,0.5,1\nc,1e308,0.1,0.1\n")
+    code, out, _ = run_cli(capsys, "leaders", "--gains", str(path), "--format", "csv")
+    assert code == 0
+    assert out == "id,rank,g,r,w,interval,|D(m)|\na,1,1,0.5,,1..1,1\nb,2,0.5,1,,2..3,1\n"
+
+
+def test_share_delta_with_an_infinite_snapshot_total_exits_2(capsys, tmp_path):
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    before.write_text("id,score\na,1e308\nb,1e308\nc,1\n")
+    after.write_text("id,score\na,1e308\nb,1e307\nc,2\n")
+    argv = ["rank", "--before", str(before), "--after", str(after), "--mode", "share-delta"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: share_delta requires a finite total score in both snapshots\n"
+
+
 def test_nan_in_gains_table_exits_2_with_line(capsys, tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("id,g,r\na,10,1.0\nb,nan,0.5\nc,5,2.0\nd,3,nan\ne,1,3.0\n")
@@ -416,6 +444,23 @@ def test_readme_cli_examples_run(capsys, monkeypatch):
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
         capsys.readouterr()
+
+
+def test_readme_library_examples_run(monkeypatch):
+    # the library block must keep running against the current API
+    blocks, block = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if block is None and line == "```python":
+            block = []
+        elif block is not None and line.startswith("```"):
+            blocks.append("\n".join(block))
+            block = None
+        elif block is not None:
+            block.append(line)
+    assert blocks
+    monkeypatch.chdir(README.parent)
+    for source in blocks:
+        exec(compile(source, str(README), "exec"), {})
 
 
 def test_unknown_subcommand_exits_2():

@@ -18,12 +18,13 @@ from momentumrank import (
     runners_up,
     verify_bound,
 )
-from momentumrank.frontier import _SAMPLE, _screen, leader_mask
+from momentumrank.frontier import _SAMPLE, _screen, leader_mask, leader_rows
 
 from util import (
     STYLES,
     brute_leader_mask,
     full_sort_bound_count,
+    leader_row,
     lexsort_leader_mask,
     naive_dominated_indices,
     naive_layers,
@@ -192,6 +193,75 @@ def test_float_edges_through_the_build(values):
     for m in result.leaders:
         leader = ds.by_id(m)
         assert dominated_set(ds, m) == {e.id for e in ds.entities if dominates(e, leader)}
+    assert batch_rows(ds) == oracle_rows(ds, result.leaders)
+
+
+def batch_rows(ds) -> list[tuple]:
+    """``leader_rows`` as (id, w bits, interval, |D(m)|) per leader."""
+    table = leader_rows(ds)
+    w = [None] * len(table.positions) if table.w is None else [float(x).hex() for x in table.w]
+    return [
+        (ds.ids[p], bits, (lo, hi), count)
+        for p, bits, lo, hi, count in zip(
+            table.positions.tolist(), w, table.left.tolist(), table.right.tolist(), table.dominated.tolist()
+        )
+    ]
+
+
+def oracle_rows(ds, leaders) -> list[tuple]:
+    """The same rows from one O(n) mask per leader, ``w`` by ``math.fsum``."""
+    rows = []
+    for m in leaders:
+        w, span, count = leader_row(ds, m)
+        rows.append((m, None if w is None else w.hex(), span, count))
+    return rows
+
+
+SCORE_KINDS = ("none", "tied", "zero", "spread", "uniform")
+
+
+@st.composite
+def scored_systems(draw):
+    """Systems in every ``random_pairs`` style, on both sides of the screen threshold, with all score regimes."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(SCREENED - 40, SCREENED + 400)))
+    style = draw(st.sampled_from(STYLES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, r = random_pairs(rng, n, style)
+    kind = draw(st.sampled_from(SCORE_KINDS))
+    if kind == "none":
+        scores = None
+    elif kind == "tied":
+        scores = np.full(n, 3.0)
+    elif kind == "zero":
+        scores = np.zeros(n)
+    elif kind == "spread":  # terms from 1 down through the subnormals to 0, some scores 0
+        scores = 10.0 ** rng.uniform(-300, 300, n) * (rng.random(n) < 0.9)
+    else:
+        scores = rng.random(n) * 1e6
+    return build_delta_system(records_from_pairs(g, r, scores))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scored_systems())
+def test_leader_rows_match_the_per_leader_oracle(ds):
+    # bit-identical w, identical intervals and |D(m)|, for every leader
+    assert batch_rows(ds) == oracle_rows(ds, frontier_sortscan(ds).leaders)
+
+
+def test_leader_rows_round_like_fsum_past_the_kept_limbs():
+    # 0.25 + 2**-55 is a tie that rounds down to even; 2**-202, far below, breaks it upwards
+    records = [("m", 0.75, 4.0, 4.0), ("a", 0.25, 3.0, 3.0), ("b", 2.0**-55, 2.0, 2.0), ("c", 2.0**-202, 1.0, 1.0)]
+    ds = build_delta_system(records)
+    assert leader_rows(ds).w.tolist() == [0.25 + 2.0**-54] == [math.fsum([0.25, 2.0**-55, 2.0**-202])]
+
+
+@pytest.mark.parametrize("tiny", range(27))
+def test_leader_rows_carry_past_the_top_limb(tiny):
+    # a tiny term sets the lowest bit, and so where the limbs of twelve equal terms fall
+    records = [("m", 1.0, 20.0, 20.0), ("z", 2.0**-tiny, 1.0, 1.0)]
+    records += [(f"e{i:02d}", 1.0, float(i + 2), float(i + 2)) for i in range(12)]
+    ds = build_delta_system(records)
+    assert batch_rows(ds) == oracle_rows(ds, frontier_sortscan(ds).leaders)
 
 
 class TestLeaderMask:

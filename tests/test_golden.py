@@ -7,11 +7,12 @@ through ``write_report`` directly. A change to any report, including the
 last digit of a float, fails here; an intended change rewrites the golden
 file from the command's output in the same commit.
 """
+import json
 from pathlib import Path
 
 import pytest
 
-from momentumrank import frontier_sortscan, parse_gains_table, runners_up, write_report
+from momentumrank import frontier_sortscan, leader_weight, parse_gains_table, runners_up, write_report
 from momentumrank.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -86,3 +87,18 @@ def test_library_report_matches_golden(name, fmt):
 def test_every_golden_file_is_checked():
     expected = {golden_path(name, fmt).name for name, fmt in CASES + REPORT_CASES}
     assert {p.name for p in GOLDEN.iterdir()} == expected
+
+
+def test_reports_use_no_per_leader_scan(capsys, monkeypatch):
+    # the one-entity mask and the id index cost O(n) per leader; the leader reports read the batch
+    def refuse(*args):
+        raise AssertionError("an O(n) per-leader path ran")
+
+    monkeypatch.setattr("momentumrank.frontier._dominated_mask", refuse)
+    monkeypatch.setattr("momentumrank.core.DeltaSystem.index", refuse)
+    for name in ("leaders_table4_layers3", "leaders_table2", "rank_abcd", "momentousness_abcd"):
+        for fmt in EXTENSIONS:
+            test_report_matches_golden(capsys, name, fmt)
+    ds = parse_gains_table(_fixture("abcd.csv"))
+    ranked = json.loads(golden_path("rank_abcd", "json").read_text(encoding="utf-8"))["leaders"]
+    assert {row["id"]: leader_weight(ds, row["id"]) for row in ranked} == {row["id"]: row["w"] for row in ranked}

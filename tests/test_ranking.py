@@ -47,6 +47,12 @@ class TestNormalizedWeights:
         with pytest.raises(InputError, match="total"):
             normalized_weights(ds)
 
+    def test_total_past_the_float_range_rejected(self):
+        ds = build_delta_system([("a", 1e308, 1.0, 0.5), ("b", 1e308, 0.5, 1.0), ("c", 1e308, 0.1, 0.1)])
+        for weigh in (normalized_weights, rank_leaders, momentousness, lambda ds: leader_weight(ds, "a")):
+            with pytest.raises(InputError, match="finite total score"):
+                weigh(ds)
+
 
 class TestLeaderWeight:
     def test_all_three_leaders_share_the_same_dominated_entity(self, abcd):
@@ -95,6 +101,19 @@ class TestRankLeaders:
     def test_full_tie_breaks_by_id(self):
         ds = build_delta_system([("b", 5.0, 1.0, 0.5), ("a", 5.0, 1.0, 0.5)])
         assert rank_leaders(ds).leader_ids == ("a", "b")
+
+    def test_order_is_the_tuple_sort_of_the_rows(self):
+        # heaviest w first, then largest r, then smallest id; 0.0 and -0.0 tie
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            n = int(rng.integers(1, 80))
+            g, r = random_pairs(rng, n, "grid")
+            r[(r == 0) & (rng.random(n) < 0.5)] = -0.0
+            scores = rng.integers(0, 3, n) + 1.0
+            ids = [f"e{i}" for i in rng.permutation(n)]
+            ds = build_delta_system([(eid, s, a, b) for eid, s, a, b in zip(ids, scores, g, r)])
+            rows = [(m, leader_weight(ds, m), ds.by_id(m).r) for m in frontier_sortscan(ds).leaders]
+            assert rank_leaders(ds).entries == tuple(sorted(rows, key=lambda row: (-row[1], -row[2], row[0])))
 
     def test_output_is_a_permutation_of_the_frontier(self):
         rng = np.random.default_rng(67)

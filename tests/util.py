@@ -232,3 +232,23 @@ def system_bits(ds) -> tuple:
         ds.r.tobytes(),
         ds.score.tobytes(),
     )
+
+
+def leader_row(ds, entity_id: str) -> tuple:
+    """(w, (L, R), |D(m)|) of one entity from its own O(n) mask: the per-leader oracle.
+
+    ``w`` is ``math.fsum`` over the masked ``score / total_score`` (None
+    without scores on every entity or a finite positive total); the
+    interval ends just inside the nearest entity on each side that the
+    entity does not dominate.
+    """
+    pos = ds.ids.index(entity_id)
+    mask = (ds.g < ds.g[pos]) & (ds.r < ds.r[pos])
+    w = None
+    if ds.has_scores and 0 < ds.total_score < math.inf:
+        w = math.fsum((ds.score[mask] / ds.total_score).tolist())
+    left = np.flatnonzero(~mask[:pos])
+    right = np.flatnonzero(~mask[pos + 1 :])
+    lo = int(left[-1]) + 2 if left.size else 1
+    hi = pos + int(right[0]) + 1 if right.size else ds.n
+    return w, (lo, hi), int(np.count_nonzero(mask))
