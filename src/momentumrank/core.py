@@ -57,6 +57,14 @@ class Snapshot:
             if not finite:
                 raise InputError(f"non-finite score for {eid!r}: {value}")
 
+    @classmethod
+    def _checked(cls, timestamp: str, scores: dict[str, float]) -> Snapshot:
+        """A snapshot of scores that ``_check_columns`` has passed, built without a second check."""
+        snapshot = object.__new__(cls)
+        object.__setattr__(snapshot, "timestamp", timestamp)
+        object.__setattr__(snapshot, "scores", scores)
+        return snapshot
+
 
 @dataclass(frozen=True, eq=False)
 class DeltaSystem:

@@ -77,7 +77,7 @@ def _snapshot_from_json(text: str, path) -> Snapshot:
             values.append(math.inf if value > 0 else -math.inf)
         ids.append(eid)
     _check_columns(ids, {"score": values}, str(path))
-    return Snapshot(timestamp=str(fields.get("timestamp", "")), scores=dict(zip(ids, values)))
+    return Snapshot._checked(timestamp=str(fields.get("timestamp", "")), scores=dict(zip(ids, values)))
 
 
 def _plain_columns(text: str, numbers: Sequence[str]) -> tuple[list[str], list[list[str]]] | None:
@@ -133,7 +133,7 @@ def _snapshot_from_columns(text: str) -> Snapshot | None:
         _check_columns(ids, {"score": scores})
     except ValueError:  # also InputError: the row reader names the faulty line
         return None
-    return Snapshot(timestamp="", scores=dict(zip(ids, scores)))
+    return Snapshot._checked(timestamp="", scores=dict(zip(ids, scores)))
 
 
 def _csv_rows(reader):
@@ -168,7 +168,7 @@ def _snapshot_from_csv(text: str, path) -> Snapshot:
     _check_columns(ids, {"score": scores}, lines)
     if not ids:
         raise InputError(f"{path}: no entities")
-    return Snapshot(timestamp="", scores=dict(zip(ids, scores)))
+    return Snapshot._checked(timestamp="", scores=dict(zip(ids, scores)))
 
 
 def _read_table(path) -> str:

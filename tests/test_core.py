@@ -392,6 +392,11 @@ def test_snapshot_accepts_exact_number_scores(value):
     assert Snapshot("", {"A": 1.0, "B": value}).scores["B"] == value
 
 
+def test_snapshot_rejects_a_negative_score_that_rounds_to_zero():
+    with pytest.raises(InputError, match="negative score for 'A'"):
+        Snapshot("", {"A": Fraction(-1, 10**400)})
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "10**400"])
 def test_snapshot_rejects_non_finite_scores(value):
     with pytest.raises(InputError, match="non-finite score for 'A'"):

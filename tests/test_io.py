@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from momentumrank import core
 from momentumrank import io as mio
 from momentumrank import (
     InputError,
@@ -38,6 +39,27 @@ class TestParseSnapshot:
         snap = parse_snapshot(p)
         assert snap.timestamp == "2021-05-01"
         assert snap.scores == {"A": 1.5}
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("plain.csv", "id,score\nA,100\nB,50\n"),
+            ("quoted.csv", 'id,score\n"A",100\nB,50\n'),  # the row reader's path
+            ("snap.json", '{"timestamp": "t", "scores": {"A": 100, "B": 50.0}}'),
+        ],
+        ids=["plain-csv", "quoted-csv", "json"],
+    )
+    def test_readers_check_each_score_once(self, tmp_path, monkeypatch, name, text):
+        # the readers have run the record rules; the constructor's own check is not run again
+        def fail(self):
+            raise AssertionError("Snapshot.__post_init__ ran")
+
+        monkeypatch.setattr(core.Snapshot, "__post_init__", fail)
+        p = tmp_path / name
+        p.write_text(text)
+        snap = parse_snapshot(p)
+        assert snap.scores == {"A": 100.0, "B": 50.0}
+        assert isinstance(snap, core.Snapshot)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1" + "0" * 400], ids=["NaN", "Infinity", "10**400"])
     def test_json_non_finite_score(self, tmp_path, literal):

@@ -20,10 +20,17 @@ from momentumrank import (
     run_trial,
     trial_gains,
 )
-from momentumrank.frontier import leader_mask
-from momentumrank.simulation import bound_estimate, nearest_rank_percentile
+from momentumrank.frontier import _SAMPLE, leader_mask
+from momentumrank.simulation import _corner_survivors, _leader_count, bound_estimate, nearest_rank_percentile
 
-from util import alloc_trial_gains, record_count_pmf, records_from_pairs
+from util import (
+    KERNEL_STYLES,
+    alloc_trial_gains,
+    brute_leader_mask,
+    kernel_pairs,
+    record_count_pmf,
+    records_from_pairs,
+)
 
 
 class TestStudyConfig:
@@ -171,6 +178,23 @@ class TestTrialGains:
         assert int(out.stdout) < 1_000
 
 
+class TestLeaderCount:
+    @pytest.mark.parametrize("style", KERNEL_STYLES)
+    def test_matches_brute_force_and_leader_mask(self, style):
+        rng = np.random.default_rng([83, KERNEL_STYLES.index(style)])
+        # small inputs, then inputs large enough to reach leader_mask's sample screen
+        for n in (1, 2, 3, 7, 40, 4 * _SAMPLE + 1, 5000):
+            g, r = kernel_pairs(rng, n, style)
+            for g, r in ((g, r), (-r, -g)):  # reflected: the minimal points lead
+                count = _leader_count(g, r)
+                assert count == int(brute_leader_mask(g, r).sum())
+                assert count == int(leader_mask(g, r).sum())
+
+    def test_corner_drops_the_bulk_of_a_uniform_trial(self):
+        g, r = trial_gains(StudyConfig(n=20_000, trials=1, seed=37), 0)
+        assert len(_corner_survivors(g, r)) < 1_000
+
+
 class TestRunStudy:
     def test_identical_configs_reproduce_identical_results(self):
         config = StudyConfig(n=2000, trials=30, seed=7)
@@ -230,6 +254,11 @@ class TestRunStudy:
         assert result.percentile_values == exact
         sample_mean = sum(result.sizes) / len(result.sizes)
         assert abs(sample_mean - mean) <= 4 * sd / math.sqrt(len(result.sizes))
+
+    def test_sizes_match_leader_mask(self):
+        config = StudyConfig(n=20_000, trials=40, seed=41)
+        expected = tuple(int(leader_mask(*trial_gains(config, i)).sum()) for i in range(config.trials))
+        assert run_study(config).sizes == expected
 
     def test_trial_order_does_not_matter(self):
         config = StudyConfig(n=800, trials=12, seed=29)

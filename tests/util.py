@@ -173,6 +173,41 @@ def random_pairs(rng: np.random.Generator, n: int, style: str) -> tuple[np.ndarr
     return g, r
 
 
+KERNEL_STYLES = (
+    *STYLES,
+    "wide_grid",
+    "pool",
+    "signed_zeros",
+    "subnormal",
+    "power_law",
+    "antidiagonal",
+    "ascending",
+)
+
+
+def kernel_pairs(rng: np.random.Generator, n: int, style: str) -> tuple[np.ndarray, np.ndarray]:
+    """Finite gain pairs that probe the kernel's screen, ties and sort order."""
+    if style in STYLES:
+        return random_pairs(rng, n, style)
+    if style == "wide_grid":  # ties on g and on r that straddle the sample staircase
+        return rng.integers(-1000, 1001, size=(2, n)).astype(float)
+    if style == "pool":  # every point repeats many times
+        pool = rng.normal(size=(2, max(1, n // 20)))
+        return pool[:, rng.integers(0, pool.shape[1], size=n)]
+    if style in ("signed_zeros", "subnormal"):  # the top value is 0.0 or -0.0
+        g, r = rng.integers(-40, 1, size=(2, n)).astype(float)
+        g[(g == 0) & (rng.random(n) < 0.5)] = -0.0
+        r[(r == 0) & (rng.random(n) < 0.5)] = -0.0
+        return (g, r) if style == "signed_zeros" else (g * 5e-324, r * 5e-324)
+    if style == "power_law":  # the study's regime: tiny frontier, heavy tails
+        return (1.0 - rng.random((2, n))) ** -1.0
+    x = rng.permutation(n).astype(float)
+    if style == "antidiagonal":  # every point leads
+        return x, -x
+    g = np.sort(rng.normal(size=n))  # ascending g: the sample's best points come last
+    return g, rng.normal(size=n)
+
+
 def records_from_pairs(g, r, scores=None) -> list[tuple]:
     if scores is None:
         return [(f"e{i:04d}", float(g[i]), float(r[i])) for i in range(len(g))]
