@@ -199,8 +199,9 @@ def leader_rows(ds: DeltaSystem) -> LeaderTable:
     entity's are a prefix of that order and those with r above it a
     suffix, so the leaders that dominate entity e are one range
     ``[lo_e, hi_e)``, found by two binary searches. A difference array over
-    the ranges counts |D(m)|, and ``_range_fsums`` sums the normalized
-    scores over them with the bits of ``math.fsum``.
+    the ranges counts |D(m)|. For w, ``_range_fsums`` sums the normalized
+    scores over them exactly in Python ints and rounds each sum once, so w
+    has the bits of ``math.fsum`` at any system size.
     """
     _require_entities(ds)
     positions = np.flatnonzero(leader_mask(ds.g, ds.r))
@@ -216,68 +217,27 @@ def leader_rows(ds: DeltaSystem) -> LeaderTable:
     return LeaderTable(positions, None if w is None else w[rank_order], left, right, dominated[rank_order])
 
 
-_BITS = 27  # a term spans at most three limbs, and fewer than 2**26 limbs sum exactly in float64
-_LIMB = 2.0**_BITS
-
-
 def _range_fsums(terms: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
     """For k < size, the correctly rounded sum of ``terms[e]`` over every e with lo[e] <= k < hi[e].
 
-    Every term is finite and not negative: an integer K_e times 2**base,
-    base the lowest bit of any term, and K_e spans at most three 27-bit
-    limbs. One pass per limb position j sums limb j of every K_e over the
-    ranges, with a difference array and a prefix sum that are exact in
-    float64, and carries into limb j + 1. Each range keeps the three limbs
-    from its highest non-zero one down, at least 55 bits, and a sticky bit
-    for any non-zero limb below them. They round to the same float as the
-    exact sum, so one correctly rounded int division per range gives the
-    bits of ``math.fsum``. Memory is O(n + size) whatever the exponents span.
+    Every term is finite, not negative and at most 1: an integer K_e times
+    2**base, base the lowest bit of any term and below 0. A difference array
+    of exact Python ints adds K_e over each range, and its prefix sum holds
+    each exact sum. One correctly rounded int division per range rounds it
+    once, which gives the bits of ``math.fsum``. A sum is as wide as the
+    exponents of its terms span, so memory grows with that span.
     """
     keep = np.flatnonzero((lo < hi) & (terms > 0))
-    if keep.size >= 1 << 26:
-        raise InputError("weights are summed exactly for fewer than 2**26 dominated entities")
-    sums = np.zeros(size)
     if not keep.size:
-        return sums
-    low_bit = np.frexp(terms[keep])[1] - 53  # each term is an integer times 2**low_bit
-    base = int(low_bit.min())
-    first = ((low_bit - base) // _BITS).astype(np.int8)  # the term's lowest limb: 1126 // 27 at most
-    order = np.argsort(first, kind="stable")
-    keep, first = keep[order], first[order]
-    terms, lo, hi = terms[keep], lo[keep], hi[keep]
-    del keep, low_bit, order
-    # terms[bounds[f]:] have their lowest limb at f or above, so limb j is in terms[bounds[j - 2]:bounds[j + 1]]
-    bounds = np.searchsorted(first, np.arange(int(first[-1]) + 4))
-    end = len(bounds) - 1
-    ring = np.zeros((size, 3))  # limbs j, j - 1 and j - 2 of every sum
-    below = np.zeros(size, dtype=bool)  # a non-zero limb under the ring
-    head = np.zeros((size, 3))  # the ring when the highest non-zero limb entered it
-    top = np.full(size, -1)
-    sticky = np.zeros(size, dtype=bool)
-    carry = np.zeros(size)
-    j = 0
-    while j < end or carry.any():
-        part = slice(bounds[min(max(j - 2, 0), end)], bounds[min(j + 1, end)])
-        upto = np.floor(np.ldexp(terms[part], -base - _BITS * j))  # limbs j and up of each K_e
-        limb = upto - np.floor(upto / _LIMB) * _LIMB
-        diff = np.bincount(lo[part], limb, size + 1) - np.bincount(hi[part], limb, size + 1)
-        total = np.cumsum(diff[:size]) + carry
-        carry = np.floor(total / _LIMB)
-        below |= ring[:, 2] != 0
-        ring[:, 1:] = ring[:, :-1]
-        ring[:, 0] = total - carry * _LIMB
-        new_top = ring[:, 0] != 0
-        head[new_top], sticky[new_top], top[new_top] = ring[new_top], below[new_top], j
-        j += 1
-    # a sum is its three limbs, then the sticky bit, over 2**shift
-    done = np.flatnonzero(top >= 0)
-    limbs = head[done].astype(np.int64)
-    upper = (limbs[:, 0] << _BITS | limbs[:, 1]).tolist()
-    lower = limbs[:, 2].tolist()
-    bit = sticky[done].astype(np.int64).tolist()
-    shift = (_BITS * (2 - top[done]) - base + sticky[done]).tolist()
-    sums[done] = [((u << _BITS | v) << s | s) / (1 << e) for u, v, s, e in zip(upper, lower, bit, shift)]
-    return sums
+        return np.zeros(size)
+    mantissa, exponent = np.frexp(terms[keep])
+    base = int(exponent.min()) - 53
+    ints = (mantissa * 2.0**53).astype(np.int64).astype(object) << (exponent - 53 - base).astype(object)
+    diff = np.zeros(size + 1, dtype=object)
+    np.add.at(diff, lo[keep], ints)
+    np.subtract.at(diff, hi[keep], ints)
+    scale = 1 << -base
+    return np.array([total / scale for total in np.cumsum(diff[:size]).tolist()])
 
 
 def _intervals(ds: DeltaSystem, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

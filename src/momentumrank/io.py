@@ -309,7 +309,8 @@ def _csv_document(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     def cell(value) -> str:
-        return _fmt_human(value).replace("|", "\\|")
+        # a quoted CSV id may hold a line break, which would split the table row
+        return _fmt_human(value).replace("|", "\\|").replace("\r", "<br>").replace("\n", "<br>")
 
     lines = [
         "| " + " | ".join(map(cell, header)) + " |",

@@ -77,6 +77,18 @@ def test_missing_file_exit_2(capsys):
     assert "does-not-exist" in err
 
 
+@pytest.mark.parametrize("command", ["leaders", "rank"])
+def test_markdown_rows_stay_on_one_line(capsys, tmp_path, command):
+    p = tmp_path / "gains.csv"
+    p.write_text('id,score,g,r\n"a|b",20,9,0.1\n"two\nlines",10,5,0.5\nc,1,1,0.01\n')
+    code, out, _ = run_cli(capsys, command, "--gains", str(p))
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4  # header, separator and one row per leader
+    assert all(line.startswith("| ") and line.endswith(" |") for line in lines)
+    assert "| a\\|b |" in out and "| two<br>lines |" in out
+
+
 def test_rank_orders_by_weight_then_relative_gain(capsys, fixtures_dir):
     code, out, _ = run_cli(
         capsys, "rank", "--gains", str(fixtures_dir / "abcd.csv"), "--format", "csv"

@@ -231,6 +231,41 @@ def test_leader_rows_carry_past_the_top_limb(tiny):
     assert batch_rows(ds) == oracle_rows(ds, frontier_sortscan(ds).leaders)
 
 
+def test_leader_rows_sum_across_the_widest_exponent_span():
+    # the scores sum to exactly 1, so "t" normalises to the smallest subnormal; "s" leads only
+    # "t", and for "m" that term breaks the tie of 0.5 + 2**-54 upwards
+    tiny = 2.0**-1074
+    records = [
+        ("a", 0.5, 5.0, 5.0),
+        ("m", 0.25, 10.0, 10.0),
+        ("s", 0.25 - 2.0**-54, 2.0, 20.0),
+        ("b", 2.0**-54, 4.0, 4.0),
+        ("t", tiny, 1.0, 1.0),
+    ]
+    ds = build_delta_system(records)
+    assert ds.score[ds.index("t")] / ds.total_score == tiny
+    assert batch_rows(ds) == oracle_rows(ds, frontier_sortscan(ds).leaders)
+    table = leader_rows(ds)
+    w = {ds.ids[p]: x for p, x in zip(table.positions.tolist(), table.w.tolist())}
+    assert w == {"m": 0.5 + 2.0**-53, "s": tiny}
+    assert math.fsum([0.5, 2.0**-54, tiny]) == 0.5 + 2.0**-53 != 0.5 + 2.0**-54
+
+
+def test_leader_rows_sum_long_overlapping_ranges():
+    # 300 leaders on an anti-diagonal; the entity at (1000 + a, 1000 + b) is dominated by every
+    # leader k with a < k < 299 - b, a run of up to 300 leaders
+    rng = np.random.default_rng(83)
+    k = np.arange(300.0)
+    a, b = rng.uniform(-50, 148, (2, 3000))
+    g = np.concatenate((1000 + k, 1000 + a))
+    r = np.concatenate((1299 - k, 1000 + b))
+    scores = 10.0 ** rng.uniform(-300, 300, len(g))
+    ds = build_delta_system(records_from_pairs(g, r, scores))
+    table = leader_rows(ds)
+    assert len(table.positions) == 300 and table.dominated.max() > 2000
+    assert batch_rows(ds) == oracle_rows(ds, frontier_sortscan(ds).leaders)
+
+
 class TestLeaderMask:
     @settings(max_examples=60, deadline=None)
     @given(kernel_inputs())
