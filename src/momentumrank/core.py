@@ -153,17 +153,19 @@ def _build(
     *,
     rank: bool = True,
     where: Sequence[int] | str = "",
+    found: Sequence[tuple[int, str]] = (),
 ) -> DeltaSystem:
     """Validate, rank and freeze record columns: the one way a system is made.
 
-    ``score`` holds None where an entity has no base score. With ``rank``
-    set and every score present, entities are ordered by descending score
-    with ties broken by ascending id (Python string order); otherwise the
-    given order is kept. ``where`` locates the records, as in ``_check_columns``.
+    ``score`` holds None where an entity has no base score, or NaN if it is
+    a float64 array. With ``rank`` set and every score present, entities
+    are ordered by descending score with ties broken by ascending id (Python
+    string order); otherwise the given order is kept. ``where`` and
+    ``found`` are as in ``_check_columns``.
     """
-    missing = np.array([s is None for s in score], dtype=bool)
-    score_col, g_col, r_col = (np.array(c, dtype=np.float64) for c in (score, g, r))  # None reads as NaN
-    _check_columns(ids, {"score": np.where(missing, 0.0, score_col), "g": g_col, "r": r_col}, where)
+    score_col, g_col, r_col = (np.asarray(c, dtype=np.float64) for c in (score, g, r))  # None reads as NaN
+    missing = np.isnan(score_col) if isinstance(score, np.ndarray) else np.array([s is None for s in score], bool)
+    _check_columns(ids, {"score": np.where(missing, 0.0, score_col), "g": g_col, "r": r_col}, where, found)
     has_scores = bool(ids) and not missing.any()
     if rank and has_scores:
         id_order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
@@ -183,14 +185,20 @@ def _build(
     )
 
 
-def _check_columns(ids: Sequence[str], columns: dict[str, Sequence[float]], where: Sequence[int] | str = "") -> None:
+def _check_columns(
+    ids: Sequence[str], columns: dict[str, Sequence[float]], where: Sequence[int] | str = "", found: Sequence = ()
+) -> None:
     """Raise the error of the first faulty record: the one place the record rules live.
 
     Within a record, ids must be non-blank, then unique; then each column's
     values must be non-negative (``score`` and ``w`` only) and finite.
     ``where`` holds the records' CSV line numbers or names their JSON file.
+    ``found`` holds ``(record, message)`` faults a reader has already found,
+    such as a cell that does not parse. Each precedes the rules of its own
+    record and every fault listed after it, and its message is raised as is.
     """
-    faults = []  # (record, precedence, message) for the first record failing each check
+    # (record, precedence, message) for the first record failing each check
+    faults = [(i, precedence - len(found), message) for precedence, (i, message) in enumerate(found)]
     if not all(map(str.strip, ids)):
         faults.append(([*map(str.strip, ids)].index(""), 0, "empty entity id"))
     if len(set(ids)) < len(ids):
@@ -209,7 +217,9 @@ def _check_columns(ids: Sequence[str], columns: dict[str, Sequence[float]], wher
             i = int(hits[0])
             faults.append((i, precedence, f"{fault} for {ids[i]!r}: {float(column[i])}"))
     if faults:
-        i, _, message = min(faults)
+        i, precedence, message = min(faults)
+        if precedence < 0:
+            raise InputError(message)
         prefix = where if isinstance(where, str) else f"line {where[i]}"
         raise InputError(f"{prefix}: {message}" if prefix else message)
 

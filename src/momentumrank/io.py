@@ -2,8 +2,11 @@
 
 Readers accept the conventions of published gain tables: relative gains as
 either fractions or percent strings, thousands separators inside quoted
-fields, and scientific notation. Writers are deterministic: identical
-results serialize to byte-identical documents.
+fields, and scientific notation. Each CSV format has one reader: the text
+is split once into columns, each number column is converted to float64 as
+a whole, and the first fault in record order is reported with its line.
+Writers are deterministic: identical results serialize to byte-identical
+documents.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import io
 import json
 import math
 from array import array
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -26,10 +29,10 @@ from .simulation import StudyResult
 FORMATS = ("json", "csv", "markdown")
 
 
-def _number(text: str, *, line: int, column: str, percent: bool = False) -> float:
-    """Parse one numeric field; percent strings are allowed only where flagged."""
+def _number(text: str, percent: bool = False) -> float:
+    """Parse one numeric field, NaN where it does not parse; percent strings are allowed only where flagged."""
     try:
-        value = float(text)  # text float() accepts holds no ',' or '%'
+        return float(text)  # text float() accepts holds no ',' or '%'
     except ValueError:
         raw = text.strip()
         body, divisor = raw, 1.0
@@ -37,12 +40,27 @@ def _number(text: str, *, line: int, column: str, percent: bool = False) -> floa
             # divide by the exactly-representable 100 so "x%" == x/100 bit-for-bit
             body, divisor = raw[:-1], 100.0
         try:
-            value = float(body.replace(",", "")) / divisor
+            return float(body.replace(",", "")) / divisor
         except ValueError:
-            value = math.nan  # unparseable text fails the finiteness check below
-    if not math.isfinite(value):
-        raise InputError(f"line {line}, column {column}: cannot parse number {text.strip()!r}")
-    return value
+            return math.nan
+
+
+def _column(cells: Sequence[str], name: str, lines: Sequence[int], faults: list, *, percent=False, blank=False):
+    """One number column as float64; its first cell that is no finite number is added to ``faults``.
+
+    ``map(float)`` reads a plain column in C. Only a column it refuses goes
+    cell by cell through ``_number``. With ``blank`` set, a blank cell reads
+    as NaN and is no fault.
+    """
+    try:
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        values = np.fromiter(map(_number, cells, repeat(percent)), np.float64, len(cells))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        if cells[i].strip() or not blank:
+            faults.append((i, f"line {lines[i]}, column {name}: cannot parse number {cells[i].strip()!r}"))
+            break
+    return values
 
 
 def parse_snapshot(path) -> Snapshot:
@@ -54,8 +72,16 @@ def parse_snapshot(path) -> Snapshot:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _snapshot_from_json(stripped, path)
-    snapshot = _snapshot_from_columns(text)
-    return snapshot if snapshot is not None else _snapshot_from_csv(text, path)
+    header, columns, lines, faults = _split(text, width=2)
+    if header is not None and [name.strip().lower() for name in header] != ["id", "score"]:
+        raise InputError(f"{path}: expected header id,score, got {header!r}")
+    ids = list(map(str.strip, columns.get("id", ())))  # an empty text has no columns
+    scores = _column(columns.get("score", ()), "score", lines, faults)
+    del columns
+    _check_columns(ids, {"score": scores}, lines, faults)
+    if not ids:
+        raise InputError(f"{path}: no entities")
+    return Snapshot._checked(timestamp="", scores=dict(zip(ids, scores.tolist())))
 
 
 def _snapshot_from_json(text: str, path) -> Snapshot:
@@ -80,28 +106,16 @@ def _snapshot_from_json(text: str, path) -> Snapshot:
     return Snapshot._checked(timestamp=str(fields.get("timestamp", "")), scores=dict(zip(ids, values)))
 
 
-def _plain_columns(text: str, numbers: Sequence[str]) -> tuple[list[str], list[list[str]]] | None:
-    """Split a CSV text that needs no quoting rules into header names and data columns.
+def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
+    """Split a CSV text that needs no quoting rules into its header row and data columns.
 
-    Returns None, leaving the text to the row reader, unless the text has no
+    Returns None, leaving the text to ``csv.reader``, unless the text has no
     '"', '\\r' or NUL, and every line, the header too, has the header's
     field count (at least two) and no field longer than
     ``csv.field_size_limit()`` bytes. On such a text ``csv.reader`` reads
-    each line as the line split at every ','. Names are stripped and lowercased.
-    The first data row's cells in the ``numbers`` columns must parse with
-    ``float``, so a table of percent strings or blank scores is refused
-    before the whole text is split.
+    each line as the line split at every ','.
     """
     if '"' in text or "\r" in text or "\0" in text:
-        return None
-    end = text.find("\n", text.find("\n") + 1)  # slice the first two lines only: no copy of the rest
-    header, _, first = text[: end if end >= 0 else None].partition("\n")
-    names = [name.strip().lower() for name in header.split(",")]
-    first_row = dict(zip(names, first.split(",")))
-    try:
-        for name in numbers:
-            float(first_row.get(name, 0))
-    except ValueError:
         return None
     if not text.endswith("\n"):
         text += "\n"
@@ -119,56 +133,48 @@ def _plain_columns(text: str, numbers: Sequence[str]) -> tuple[list[str], list[l
     del data, seps, ends, by_line
     fields = text.replace("\n", ",").split(",")
     fields.pop()  # the empty text after the last newline
-    return names, [fields[k + i :: k] for i in range(k)]
+    return fields[:k], [fields[k + i :: k] for i in range(k)]
 
 
-def _snapshot_from_columns(text: str) -> Snapshot | None:
-    """The columnar twin of ``_snapshot_from_csv``; None leaves the text to it."""
-    plain = _plain_columns(text, ("score",))
-    if plain is None or plain[0] != ["id", "score"] or not plain[1][0]:
-        return None
-    try:
-        ids, scores = list(map(str.strip, plain[1][0])), list(map(float, plain[1][1]))
-        del plain
-        _check_columns(ids, {"score": scores})
-    except ValueError:  # also InputError: the row reader names the faulty line
-        return None
-    return Snapshot._checked(timestamp="", scores=dict(zip(ids, scores)))
+def _split(text: str, width: int | None = None):
+    """Split a CSV text once: its header row, its columns by name, each record's line and its fault.
 
-
-def _csv_rows(reader):
-    """Yield ``reader``'s rows; a csv.Error, such as a field past the size limit, is an InputError at its line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise InputError(f"line {reader.line_num}: {exc}") from None
-
-
-def _snapshot_from_csv(text: str, path) -> Snapshot:
-    reader = csv.reader(io.StringIO(text))
-    rows = _csv_rows(reader)
-    first = next(rows, None)
-    if first is not None and [h.strip().lower() for h in first] != ["id", "score"]:
-        raise InputError(f"{path}: expected header id,score, got {first!r}")
-    ids, scores, lines = [], [], array("l")
-    try:
-        for row in rows:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            line_no = reader.line_num
-            if len(row) != 2:
-                raise InputError(f"line {line_no}: expected 2 fields, got {len(row)}")
-            scores.append(_number(row[1], line=line_no, column="score"))
-            ids.append(row[0].strip())
-            lines.append(line_no)
-    except InputError:
-        _check_columns(ids, {"score": scores}, lines)  # a fault on an earlier line is reported first
-        raise
-    del reader, rows  # frees the decoded text buffer before the dict is built
-    _check_columns(ids, {"score": scores}, lines)
-    if not ids:
-        raise InputError(f"{path}: no entities")
-    return Snapshot._checked(timestamp="", scores=dict(zip(ids, scores)))
+    The header is None for an empty text, and a fault in it is raised. Names
+    are stripped and lowercased, and a repeated name maps to its last
+    column. Blank lines are skipped. With ``width`` set, whitespace-only
+    lines are skipped too and a record of another field count ends the
+    text; otherwise short records are padded with "" and extra cells are
+    ignored. The fault list holds the ``(record, message)`` that ended the
+    text, if any: that record or a ``csv.Error`` at its line.
+    """
+    plain = _plain_columns(text)
+    if plain is not None:
+        header, columns = plain
+        lines, faults = range(2, len(columns[0]) + 2), []
+    else:
+        # read the text back as the file was read: a StringIO would hold four bytes per character
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=""))
+        # the cells go in one flat list: a list kept per row would make every garbage collection walk them all
+        header, cells, lines, faults = None, [], array("l"), []
+        try:
+            header = next(reader, None)
+            k = len(header or ())
+            for row in reader:
+                if not row or (width and len(row) == 1 and not row[0].strip()):
+                    continue
+                if width and len(row) != width:
+                    faults.append((len(lines), f"line {reader.line_num}: expected {width} fields, got {len(row)}"))
+                    break
+                cells += row[:k]
+                if len(row) < k:
+                    cells += [""] * (k - len(row))
+                lines.append(reader.line_num)
+        except csv.Error as exc:  # such as a field past the size limit
+            if header is None:
+                raise InputError(f"line {reader.line_num}: {exc}") from None
+            faults.append((len(lines), f"line {reader.line_num}: {exc}"))
+        columns = [cells[i::k] for i in range(k)]
+    return header, dict(zip((name.strip().lower() for name in header or ()), columns)), lines, faults
 
 
 def _read_table(path) -> str:
@@ -183,25 +189,13 @@ def _read_table(path) -> str:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _table_rows(text: str, path, required: set[str], expected: str):
-    """Yield a CSV table's column positions, then ``(line, row)`` per data row.
-
-    The header is stripped and lowercased, and a repeated name maps to its
-    last column. Blank lines are skipped and short rows padded with "".
-    """
-    # read the text back as the file was read: a StringIO would hold four bytes per character
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=""))
-    rows = _csv_rows(reader)
-    fields = [f.strip().lower() for f in next(rows, [])]
-    missing = required - set(fields)
+def _table(path, required: set[str], expected: str):
+    """``_split`` of a CSV table, less its header; a table without the ``required`` columns is an InputError."""
+    _, columns, lines, faults = _split(_read_table(path))
+    missing = required - columns.keys()
     if missing:
         raise InputError(f"{path}: expected columns {expected} (missing {sorted(missing)})")
-    yield {name: i for i, name in enumerate(fields)}
-    for row in rows:
-        if row:
-            if len(row) < len(fields):
-                row += [""] * (len(fields) - len(row))
-            yield reader.line_num, row
+    return columns, lines, faults
 
 
 def parse_gains_table(path, window: str = "") -> DeltaSystem:
@@ -209,71 +203,26 @@ def parse_gains_table(path, window: str = "") -> DeltaSystem:
 
     Row order defines rank when the score column is absent or has a blank cell.
     """
-    text = _read_table(path)
-    system = _gains_from_columns(text, window)
-    return system if system is not None else _gains_from_rows(text, path, window)
-
-
-def _gains_from_columns(text: str, window: str) -> DeltaSystem | None:
-    """The columnar twin of ``_gains_from_rows``; None leaves the text to it."""
-    plain = _plain_columns(text, ("score", "g", "r"))
-    if plain is None:
-        return None
-    column = dict(zip(*plain))  # a repeated name keeps its last column, as in _table_rows
-    del plain
-    if not {"id", "g", "r"} <= column.keys():
-        return None
-    try:
-        ids = list(map(str.strip, column["id"]))
-        # g and r become float64 arrays with no float object per cell; the memory saved
-        # pays for keeping the text for the row reader until _build has passed
-        g, r = (np.fromiter(map(float, column[name]), np.float64, len(ids)) for name in ("g", "r"))
-        score = list(map(float, column["score"])) if "score" in column else [None] * len(ids)
-        del column
-        return _build(ids, score, g, r, window)
-    except ValueError:  # also InputError: the row reader names the faulty line
-        return None
-
-
-def _gains_from_rows(text: str, path, window: str = "") -> DeltaSystem:
-    rows = _table_rows(text, path, {"id", "g", "r"}, "id[,score],g,r")
-    id_at, g_at, r_at, score_at = map(next(rows).get, ("id", "g", "r", "score"))
-    ids, score, g, r, lines = [], [], [], [], array("l")
-    try:
-        for line_no, row in rows:
-            g_value = _number(row[g_at], line=line_no, column="g")
-            r_value = _number(row[r_at], line=line_no, column="r", percent=True)
-            has_score = score_at is not None and row[score_at].strip()
-            score.append(_number(row[score_at], line=line_no, column="score") if has_score else None)
-            ids.append(row[id_at].strip())
-            g.append(g_value)
-            r.append(r_value)
-            lines.append(line_no)
-    except InputError:
-        _build(ids, score, g, r, where=lines)  # a fault on an earlier line is reported first
-        raise
-    return _build(ids, score, g, r, window, where=lines)
+    columns, lines, faults = _table(path, {"id", "g", "r"}, "id[,score],g,r")
+    ids = list(map(str.strip, columns["id"]))
+    g = _column(columns["g"], "g", lines, faults)
+    r = _column(columns["r"], "r", lines, faults, percent=True)
+    score = _column(columns["score"], "score", lines, faults, blank=True) if "score" in columns else [None] * len(ids)
+    del columns
+    return _build(ids, score, g, r, window, where=lines, found=faults)
 
 
 def parse_leaders_table(path) -> tuple[tuple[str, float, float], ...]:
     """Read pre-computed leader rows: columns ``[id,]r,w``; returns (id, r, w)."""
-    rows = _table_rows(_read_table(path), path, {"r", "w"}, "[id,]r,w")
-    id_at, r_at, w_at = map(next(rows).get, ("id", "r", "w"))
-    ids, r, w, lines = [], [], [], array("l")
-    try:
-        for line_no, row in rows:
-            r_value = _number(row[r_at], line=line_no, column="r", percent=True)
-            w.append(_number(row[w_at], line=line_no, column="w", percent=True))
-            r.append(r_value)
-            ids.append((row[id_at].strip() if id_at is not None else "") or str(len(ids) + 1))
-            lines.append(line_no)
-    except InputError:
-        _check_columns(ids, {"r": r, "w": w}, lines)  # a fault on an earlier line is reported first
-        raise
-    _check_columns(ids, {"r": r, "w": w}, lines)
+    columns, lines, faults = _table(path, {"r", "w"}, "[id,]r,w")
+    r = _column(columns["r"], "r", lines, faults, percent=True)
+    w = _column(columns["w"], "w", lines, faults, percent=True)
+    # a missing or blank id is the record's number
+    ids = [eid.strip() or str(i) for i, eid in enumerate(columns.get("id", [""] * len(lines)), start=1)]
+    _check_columns(ids, {"r": r, "w": w}, lines, faults)
     if not ids:
         raise InputError(f"{path}: no leader rows")
-    return tuple(zip(ids, r, w))
+    return tuple(zip(ids, r.tolist(), w.tolist()))
 
 
 # --- report writing ---------------------------------------------------------
@@ -307,10 +256,14 @@ def _csv_document(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
+def _one_line(text: str) -> str:
+    # a quoted CSV id may hold a line break, which would split a markdown line
+    return text.replace("\r", "<br>").replace("\n", "<br>")
+
+
 def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     def cell(value) -> str:
-        # a quoted CSV id may hold a line break, which would split the table row
-        return _fmt_human(value).replace("|", "\\|").replace("\r", "<br>").replace("\n", "<br>")
+        return _one_line(_fmt_human(value).replace("|", "\\|"))
 
     lines = [
         "| " + " | ".join(map(cell, header)) + " |",
@@ -366,7 +319,7 @@ def _frontier_report(result: FrontierResult, layers) -> _Report:
                 raise InputError(f"unknown entity id {leader_id!r}")
             i = where[leader_id]
             flat.append([depth, leader_id, i + 1, float(ds.g[i]), float(ds.r[i]), None, None, None])
-        trailer.append(f"Layer {depth}: {', '.join(layer)}")
+        trailer.append(f"Layer {depth}: {', '.join(map(_one_line, layer))}")
     if trailer:
         markdown.append("\n".join(trailer))
     return _Report(payload, ["layer", *header], flat, markdown)

@@ -89,6 +89,14 @@ def test_markdown_rows_stay_on_one_line(capsys, tmp_path, command):
     assert "| a\\|b |" in out and "| two<br>lines |" in out
 
 
+def test_markdown_layers_stay_on_one_line_each(capsys, tmp_path):
+    p = tmp_path / "gains.csv"
+    p.write_text('id,g,r\na,4,4\nb,3,3\nc,2,2\n"d\ne",1,1\n')
+    code, out, _ = run_cli(capsys, "leaders", "--gains", str(p), "--layers", "4")
+    assert code == 0
+    assert out.splitlines()[-3:] == ["Layer 2: b", "Layer 3: c", "Layer 4: d<br>e"]
+
+
 def test_rank_orders_by_weight_then_relative_gain(capsys, fixtures_dir):
     code, out, _ = run_cli(
         capsys, "rank", "--gains", str(fixtures_dir / "abcd.csv"), "--format", "csv"
@@ -384,7 +392,7 @@ def _json_with_fault(ids, scores, fault, k):
     return '{"timestamp": "t", "%s": {%s}}' % (key, ", ".join(f"{a}: {b}" for a, b in pairs))
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(kind=st.sampled_from(KINDS), fault=st.sampled_from(FAULTS), n=st.integers(2, 6), data=st.data())
 def test_single_injected_fault_exits_2(tmp_path_factory, kind, fault, n, data):
     # only JSON nests, only CSV has a field size limit; a leader row with an empty id takes its row number

@@ -329,7 +329,7 @@ def snapshot_pairs(draw):
 class TestDeriveMatchesUnionWalk:
     """``derive_from_snapshots`` against the sorted-union loop it replaced (``util.naive_derive_from_snapshots``)."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(pair=snapshot_pairs(), mode=st.sampled_from(["ratio", "share_delta"]))
     def test_float_snapshots_bit_identical(self, pair, mode):
         before, after = pair

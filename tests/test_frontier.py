@@ -143,7 +143,7 @@ edge_float = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(edge_float, edge_float, edge_float), min_size=1, max_size=12))
 def test_float_edges_through_the_build(values):
     # the build rejects exactly the non-finite values and negative scores; all it accepts, the kernel ranks right
@@ -208,7 +208,7 @@ def scored_systems(draw):
     return build_delta_system(records_from_pairs(g, r, scores))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(scored_systems())
 def test_leader_rows_match_the_per_leader_oracle(ds):
     # bit-identical w, identical intervals and |D(m)|, for every leader
@@ -267,7 +267,7 @@ def test_leader_rows_sum_long_overlapping_ranges():
 
 
 class TestLeaderMask:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(kernel_inputs())
     def test_matches_lexsort_kernel_and_brute_force(self, pairs):
         g, r = pairs
@@ -380,7 +380,7 @@ class TestMovingMaxima:
     def test_ties_do_not_count(self):
         assert moving_maxima([2, 2, 2]).indices == (1,)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         st.lists(
             st.one_of(

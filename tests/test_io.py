@@ -23,7 +23,14 @@ from momentumrank import (
     write_report,
 )
 
-from util import random_pairs, records_from_pairs, system_bits
+from util import (
+    _gains_from_rows,
+    _leaders_from_rows,
+    _snapshot_from_csv,
+    random_pairs,
+    records_from_pairs,
+    system_bits,
+)
 
 
 class TestParseSnapshot:
@@ -44,7 +51,7 @@ class TestParseSnapshot:
         "name, text",
         [
             ("plain.csv", "id,score\nA,100\nB,50\n"),
-            ("quoted.csv", 'id,score\n"A",100\nB,50\n'),  # the row reader's path
+            ("quoted.csv", 'id,score\n"A",100\nB,50\n'),  # csv.reader's path
             ("snap.json", '{"timestamp": "t", "scores": {"A": 100, "B": 50.0}}'),
         ],
         ids=["plain-csv", "quoted-csv", "json"],
@@ -296,8 +303,8 @@ class TestParseLeadersTable:
         assert str(excinfo.value) == message
 
 
-HEADERS = {"gains": ["id", "score", "g", "r"], "snapshot": ["id", "score"]}
-NUMBERS = {"gains": ("score", "g", "r"), "snapshot": ("score",)}
+HEADERS = {"gains": ["id", "score", "g", "r"], "leaders": ["id", "r", "w"], "snapshot": ["id", "score"]}
+OPTIONAL = {"gains": "score", "leaders": "id"}
 ODD_IDS = ["e0", "", "  ", " e1 ", '"e,9"', '"e""q"', '"e5"']
 ODD_NUMBERS = ["4.6%", '"1,234"', '"0.25"', " 7 ", "-0.0", "1_0", "nan", "inf", "-inf", "1e999", "", " ", "x", "-1"]
 LINE_FAULTS = ["blank line", "whitespace line", "short row", "long row", "swap", "lone cr", "long field", "not utf-8"]
@@ -307,10 +314,10 @@ LINE_FAULTS = ["blank line", "whitespace line", "short row", "long row", "swap",
 def csv_texts(draw, kind):
     """A CSV text of one kind: plain and valid, then up to two odd cells and two line faults."""
     header = list(HEADERS[kind])
-    if kind == "gains":
+    if kind in OPTIONAL:
         header = draw(st.permutations(header))
         if draw(st.booleans()):
-            header.remove("score")
+            header.remove(OPTIONAL[kind])
         extra = draw(st.sampled_from([None, "name", *header]))  # a repeated name reads its last column
         if extra:
             header.insert(draw(st.integers(0, len(header))), extra)
@@ -326,10 +333,12 @@ def csv_texts(draw, kind):
         ]
         for i in range(n)
     ]
-    for row in rows:  # a score is not negative
+    for row in rows:
         for j, name in enumerate(names):
-            if name == "score":
+            if name in ("score", "w"):  # a score or weight is not negative
                 row[j] = row[j].lstrip("-")
+            if name in ("r", "w") and draw(st.booleans()):
+                row[j] += "%"
     for _ in range(draw(st.integers(0, 2)) if n else 0):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, len(names) - 1))
         rows[i][j] = draw(st.sampled_from(ODD_IDS if names[j] == "id" else ODD_NUMBERS))
@@ -379,22 +388,40 @@ def _outcome(read, path):
 
 
 def _snapshot_rows(path):
-    return mio._snapshot_from_csv(path.read_text(encoding="utf-8"), path)
+    return _snapshot_from_csv(path.read_text(encoding="utf-8"), path)
 
 
 def _gains_rows(path):
-    return mio._gains_from_rows(mio._read_table(path), path)
+    return _gains_from_rows(mio._read_table(path), path)
+
+
+def _plain_file(path, kind, n=2_000, last=None):
+    """A benchmark-shaped file: ids in order, shortest-repr floats, no quoting; ``last`` sets cells of its last row."""
+    rng = np.random.default_rng(5)
+    columns = {
+        "id": [f"e{i:06d}" for i in range(n)],
+        "score": (rng.random(n) * 1e3).tolist(),
+        "g": rng.normal(0, 1e2, n).tolist(),
+        "r": rng.normal(0, 1, n).tolist(),
+    }
+    header = HEADERS[kind]
+    rows = [list(map(str, row)) for row in zip(*map(columns.get, header))]
+    for name, cell in (last or {}).items():
+        rows[-1][header.index(name)] = cell
+    path.write_text(",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in rows))
+    return path
 
 
 class TestColumnarReaders:
-    """The column splitter must read every file exactly as the row reader does, or leave it to it."""
+    """Each CSV reader must give every file the result or the message of the row reader it replaced."""
 
     READERS = {
         "gains": (parse_gains_table, _gains_rows),
+        "leaders": (parse_leaders_table, _leaders_from_rows),
         "snapshot": (parse_snapshot, _snapshot_rows),
     }
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600)
     @given(data=st.data(), kind=st.sampled_from(sorted(HEADERS)))
     def test_same_result_or_message_as_the_row_reader(self, tmp_path_factory, data, kind):
         text = data.draw(csv_texts(kind), label="text")
@@ -406,58 +433,70 @@ class TestColumnarReaders:
         assert _outcome(read, p) == _outcome(read_rows, p)
 
     @pytest.mark.parametrize(
-        "kind, text",
+        "kind, text, plain",
         [
-            ("gains", "id,g,r\ne0,0.1,0.2,0.3\ne1,0.4\n"),  # the total comma count is right, the lines are not
-            ("gains", "id,g,r\ne0\r,0.1,0.2\n"),  # csv ends the record at the '\r'
-            ("gains", 'id,g,r\n"e0",1,0.1\n'),
-            ("snapshot", 'id,score\n"a""b",1\n'),
-            ("snapshot", f"id,score\n{'a' * (csv.field_size_limit() + 1)},1\n"),
-            ("gains", "id,g,r\n\ne0,1,0.1\n"),
-            ("snapshot", "id\n\na\n"),  # one column: a blank line would read as an empty field
-            ("gains", "id,score,g,r\ne0,1,2,4.6%\ne1,1,2,0.1\n"),  # refused before the split
-            ("gains", "id,score,g,r\ne0,,2,0.1\ne1,1,2,0.1\n"),
+            ("gains", "id,g,r\ne0,0.1,0.2,0.3\ne1,0.4\n", False),  # the total comma count is right, the lines are not
+            ("gains", "id,g,r\ne0\r,0.1,0.2\n", False),  # csv ends the record at the '\r'
+            ("gains", 'id,g,r\n"e0",1,0.1\n', False),
+            ("snapshot", 'id,score\n"a""b",1\n', False),
+            ("snapshot", f"id,score\n{'a' * (csv.field_size_limit() + 1)},1\n", False),
+            ("gains", "id,g,r\n\ne0,1,0.1\n", False),
+            ("snapshot", "id\n\na\n", False),  # one column: a blank line would read as an empty field
+            ("gains", "id,score,g,r\ne0,1,2,4.6%\ne1,1,2,0.1\n", True),  # split plainly, then r goes cell by cell
+            ("gains", "id,score,g,r\ne0,,2,0.1\ne1,1,2,0.1\n", True),
         ],
         ids=[
             "per-line count", "lone cr", "quoted", "escaped quote", "field limit", "blank line", "one column",
             "first row percent", "first row blank score",
         ],
     )
-    def test_refused_layouts(self, tmp_path, kind, text):
-        assert mio._plain_columns(text, NUMBERS[kind]) is None
+    def test_refused_layouts(self, tmp_path, kind, text, plain):
+        assert (mio._plain_columns(text) is not None) == plain
         p = tmp_path / f"{kind}.csv"
         p.write_bytes(text.encode())
         read, read_rows = self.READERS[kind]
         assert _outcome(read, p) == _outcome(read_rows, p)
 
     def test_plain_files_never_reach_the_row_reader(self, tmp_path, monkeypatch):
-        # benchmark-shaped input: ids in order, shortest-repr floats, no quoting
-        rng = np.random.default_rng(5)
-        n = 2_000
-        ids = [f"e{i:06d}" for i in range(n)]
-        score, g, r = rng.random(n) * 1e3, rng.normal(0, 1e2, n), rng.normal(0, 1, n)
-        files = {
-            "gains": ("id,score,g,r", zip(ids, score.tolist(), g.tolist(), r.tolist())),
-            "snapshot": ("id,score", zip(ids, score.tolist())),
-        }
         expected = {}
-        for kind, (header, rows) in files.items():
-            p = tmp_path / f"{kind}.csv"
-            p.write_text(header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows))
+        for kind in ("gains", "snapshot"):
+            p = _plain_file(tmp_path / f"{kind}.csv", kind)
             expected[kind] = (p, _outcome(self.READERS[kind][1], p))
 
-        def row_reader_used(*args, **kwargs):
-            raise AssertionError("a plain CSV file went through the row reader")
+        def cell_by_cell(*args, **kwargs):
+            raise AssertionError("a plain CSV column went cell by cell")
 
-        monkeypatch.setattr(mio, "_number", row_reader_used)
+        monkeypatch.setattr(mio, "_number", cell_by_cell)
         for kind, (p, rows_outcome) in expected.items():
             assert _outcome(self.READERS[kind][0], p) == rows_outcome
+
+    @pytest.mark.parametrize(
+        "kind, last",
+        [
+            ("gains", {"r": "4.6%"}),
+            ("gains", {"score": ""}),
+            ("gains", {"id": "e000000"}),
+            ("snapshot", {"score": "4.6%"}),
+            ("snapshot", {"score": ""}),
+            ("snapshot", {"id": "e000000"}),
+        ],
+        ids=["gains-percent", "gains-blank-score", "gains-repeated-id", "snapshot-percent", "snapshot-blank-score",
+             "snapshot-repeated-id"],
+    )
+    def test_a_late_cell_is_read_in_one_pass(self, tmp_path, monkeypatch, kind, last):
+        p = _plain_file(tmp_path / f"{kind}.csv", kind, last=last)
+        expected = _outcome(self.READERS[kind][1], p)
+
+        def second_pass(*args, **kwargs):
+            raise AssertionError("a plain CSV file went through csv.reader")
+
+        monkeypatch.setattr(mio.csv, "reader", second_pass)
+        assert _outcome(self.READERS[kind][0], p) == expected
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("read, name", [(parse_gains_table, "table2.csv"), (parse_leaders_table, "table8.csv")])
     def test_a_pipe_is_read_once(self, fixtures_dir, read, name):
-        # the splitter refuses the quoted gains table, and the row reader must read the same text:
-        # opening the pipe a second time would find it empty
+        # the reader must split the text it read: opening the pipe a second time would find it empty
         out, into = os.pipe()
         try:
             os.write(into, (fixtures_dir / name).read_bytes())  # smaller than a pipe's buffer

@@ -94,7 +94,7 @@ class TestRunTrial:
 
 
 class TestTrialGains:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1), trial_index=st.integers(0, 2**31))
     def test_matches_allocating_sampler_bit_for_bit(self, n, seed, trial_index):
         config = StudyConfig(n=n, trials=1, seed=seed)
@@ -104,7 +104,7 @@ class TestTrialGains:
         for got in (trial_gains(config, trial_index), trial_gains(config, trial_index, out=buf)):
             assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         alpha=st.floats(0.1, 8.0),
         x_min=st.floats(1e-3, 1e3),

@@ -5,9 +5,15 @@ plain loops so they stay independent of the package code they check.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
+from array import array
 
 import numpy as np
+
+from momentumrank.core import DeltaSystem, InputError, Snapshot, _build, _check_columns
+from momentumrank.io import _read_table
 
 
 def naive_leader_indices(pairs) -> list[int]:
@@ -221,8 +227,6 @@ def naive_derive_from_snapshots(before, after, mode: str = "ratio"):
     warnings as it meets the exclusions; only the final build is shared with
     the package.
     """
-    from momentumrank.core import _build
-
     if mode == "share_delta":
         before_total = sum(before.scores.values())
         after_total = sum(after.scores.values())
@@ -287,3 +291,125 @@ def leader_row(ds, entity_id: str) -> tuple:
     lo = int(left[-1]) + 2 if left.size else 1
     hi = pos + int(right[0]) + 1 if right.size else ds.n
     return w, (lo, hi), int(np.count_nonzero(mask))
+
+
+# --- the CSV row readers -------------------------------------------------------
+# The readers as they stood before each CSV format got one columnar reader,
+# kept unchanged: one row at a time, each fault raised where it is met. The
+# readers' differential tests compare every outcome with theirs.
+
+
+def _number(text: str, *, line: int, column: str, percent: bool = False) -> float:
+    """Parse one numeric field; percent strings are allowed only where flagged."""
+    try:
+        value = float(text)  # text float() accepts holds no ',' or '%'
+    except ValueError:
+        raw = text.strip()
+        body, divisor = raw, 1.0
+        if percent and raw.endswith("%"):
+            # divide by the exactly-representable 100 so "x%" == x/100 bit-for-bit
+            body, divisor = raw[:-1], 100.0
+        try:
+            value = float(body.replace(",", "")) / divisor
+        except ValueError:
+            value = math.nan  # unparseable text fails the finiteness check below
+    if not math.isfinite(value):
+        raise InputError(f"line {line}, column {column}: cannot parse number {text.strip()!r}")
+    return value
+
+
+def _csv_rows(reader):
+    """Yield ``reader``'s rows; a csv.Error, such as a field past the size limit, is an InputError at its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputError(f"line {reader.line_num}: {exc}") from None
+
+
+def _snapshot_from_csv(text: str, path) -> Snapshot:
+    reader = csv.reader(io.StringIO(text))
+    rows = _csv_rows(reader)
+    first = next(rows, None)
+    if first is not None and [h.strip().lower() for h in first] != ["id", "score"]:
+        raise InputError(f"{path}: expected header id,score, got {first!r}")
+    ids, scores, lines = [], [], array("l")
+    try:
+        for row in rows:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            line_no = reader.line_num
+            if len(row) != 2:
+                raise InputError(f"line {line_no}: expected 2 fields, got {len(row)}")
+            scores.append(_number(row[1], line=line_no, column="score"))
+            ids.append(row[0].strip())
+            lines.append(line_no)
+    except InputError:
+        _check_columns(ids, {"score": scores}, lines)  # a fault on an earlier line is reported first
+        raise
+    del reader, rows  # frees the decoded text buffer before the dict is built
+    _check_columns(ids, {"score": scores}, lines)
+    if not ids:
+        raise InputError(f"{path}: no entities")
+    return Snapshot._checked(timestamp="", scores=dict(zip(ids, scores)))
+
+
+def _table_rows(text: str, path, required: set[str], expected: str):
+    """Yield a CSV table's column positions, then ``(line, row)`` per data row.
+
+    The header is stripped and lowercased, and a repeated name maps to its
+    last column. Blank lines are skipped and short rows padded with "".
+    """
+    # read the text back as the file was read: a StringIO would hold four bytes per character
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=""))
+    rows = _csv_rows(reader)
+    fields = [f.strip().lower() for f in next(rows, [])]
+    missing = required - set(fields)
+    if missing:
+        raise InputError(f"{path}: expected columns {expected} (missing {sorted(missing)})")
+    yield {name: i for i, name in enumerate(fields)}
+    for row in rows:
+        if row:
+            if len(row) < len(fields):
+                row += [""] * (len(fields) - len(row))
+            yield reader.line_num, row
+
+
+def _gains_from_rows(text: str, path, window: str = "") -> DeltaSystem:
+    rows = _table_rows(text, path, {"id", "g", "r"}, "id[,score],g,r")
+    id_at, g_at, r_at, score_at = map(next(rows).get, ("id", "g", "r", "score"))
+    ids, score, g, r, lines = [], [], [], [], array("l")
+    try:
+        for line_no, row in rows:
+            g_value = _number(row[g_at], line=line_no, column="g")
+            r_value = _number(row[r_at], line=line_no, column="r", percent=True)
+            has_score = score_at is not None and row[score_at].strip()
+            score.append(_number(row[score_at], line=line_no, column="score") if has_score else None)
+            ids.append(row[id_at].strip())
+            g.append(g_value)
+            r.append(r_value)
+            lines.append(line_no)
+    except InputError:
+        _build(ids, score, g, r, where=lines)  # a fault on an earlier line is reported first
+        raise
+    return _build(ids, score, g, r, window, where=lines)
+
+
+def _leaders_from_rows(path) -> tuple[tuple[str, float, float], ...]:
+    """Read pre-computed leader rows: columns ``[id,]r,w``; returns (id, r, w)."""
+    rows = _table_rows(_read_table(path), path, {"r", "w"}, "[id,]r,w")
+    id_at, r_at, w_at = map(next(rows).get, ("id", "r", "w"))
+    ids, r, w, lines = [], [], [], array("l")
+    try:
+        for line_no, row in rows:
+            r_value = _number(row[r_at], line=line_no, column="r", percent=True)
+            w.append(_number(row[w_at], line=line_no, column="w", percent=True))
+            r.append(r_value)
+            ids.append((row[id_at].strip() if id_at is not None else "") or str(len(ids) + 1))
+            lines.append(line_no)
+    except InputError:
+        _check_columns(ids, {"r": r, "w": w}, lines)  # a fault on an earlier line is reported first
+        raise
+    _check_columns(ids, {"r": r, "w": w}, lines)
+    if not ids:
+        raise InputError(f"{path}: no leader rows")
+    return tuple(zip(ids, r, w))
