@@ -14,19 +14,26 @@ percentiles of the count grow like c * (log10(n) + 1)^2, but c is not a
 constant: the exact p95 is 16 at n = 20,000, so c is about 0.57 there, and
 it falls to 1/2 only near n = 100,000. Either way the frontier stays tiny
 even for hundreds of thousands of entities.
+
+``run_study`` runs its trials on one thread per CPU the process may use.
+Most of a trial is the fill of its uniforms, which numpy runs without the
+GIL, so the threads overlap; each trial draws from its own generator, so
+the sizes have the same bits on any number of threads.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .core import InputError
-from .frontier import _sort_scan
 
 BOUND_COEFFICIENTS = (1 / 3, 1 / 2)
+_SEED_BATCH = 16  # trials a study worker claims, and seeds, at a time
 
 
 @dataclass(frozen=True)
@@ -47,9 +54,11 @@ class StudyConfig:
             raise InputError(f"seed must be >= 0, got {self.seed}")
         if not self.percentiles:
             raise InputError("at least one percentile is required")
-        for p in self.percentiles:
+        for i, p in enumerate(self.percentiles):
             if not 0 < p < 100:
                 raise InputError(f"percentiles must lie in (0, 100), got {p}")
+            if p in self.percentiles[:i]:
+                raise InputError(f"percentiles must not repeat, got {p} twice")
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,14 @@ class StudyResult:
     percentile_values: dict[float, int] = field(compare=False)
     bound_values: dict[float, float] = field(compare=False)
     fitted_c: dict[float, float] = field(compare=False)
+
+
+def _cpu_count() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _trial_rng(config: StudyConfig, trial_index: int) -> np.random.Generator:
@@ -108,9 +125,20 @@ def _leader_count(g: np.ndarray, r: np.ndarray) -> int:
     uniform draws on [0, 1) do: then p sits near (1, 1) and about 190 of
     20,000 entities survive. On real systems, whose g and r have different
     units, p cuts little, so ``leader_mask`` keeps its sample screen.
+
+    The survivors are sorted by g descending and, within a tie in g, by r
+    ascending. An entity then leads iff its r equals the running maximum of
+    r: the entities before it are those with a greater g, which decide its
+    status, and tied ones whose r is no greater than its own. So the scan
+    needs no tie groups: it is eight numpy calls on a few hundred values,
+    all of which hold the GIL. ``frontier._sort_scan`` keeps its tie groups:
+    on 50,000 random pairs its one argsort is three times faster than this
+    two-key lexsort.
     """
     keep = _corner_survivors(g, r)
-    return int(np.count_nonzero(_sort_scan(g[keep], r[keep])))
+    g, r = g[keep], r[keep]
+    r = r[np.lexsort((r, -g))]
+    return int(np.count_nonzero(r == np.maximum.accumulate(r)))
 
 
 def _corner_survivors(g: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -146,19 +174,59 @@ def bound_estimate(n: int, c: float) -> float:
 
 
 def run_study(config: StudyConfig) -> StudyResult:
-    """Run every trial and aggregate percentiles against the size bound.
+    """Run every trial, on every CPU the process may use, and aggregate percentiles.
 
-    Each trial counts what ``run_trial`` counts, but draws into one
-    ``(2, n)`` buffer shared by the whole study, so the sampling loop
-    allocates no fresh pages per trial.
+    Each trial counts what ``run_trial`` counts, and the sizes are the same
+    bits whatever the number of workers or the order they run in: trial i
+    always draws from its own generator. ``_cpu_count()`` workers, capped at
+    ``trials``, each own one ``(2, n)`` buffer, so the sampling loop
+    allocates no fresh pages per trial; the calling thread is one of them.
+    A worker claims ``_SEED_BATCH`` trials at a time and seeds their
+    generators together, then fills its buffer for each one, which numpy
+    does without the GIL, and counts its leaders. An exception in any
+    worker, or a KeyboardInterrupt, stops every worker before its next
+    trial and is raised here.
     """
-    buf = np.empty((2, config.n))
-    sizes = tuple(_leader_count(*trial_gains(config, i, out=buf)) for i in range(config.trials))
+    trials = config.trials
+    sizes = [0] * trials
+    starts = iter(range(0, trials, _SEED_BATCH))  # shared: each next() is one C call, atomic under the GIL
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        buf = np.empty((2, config.n))
+        g, r = buf
+        try:
+            for first in starts:
+                batch = range(first, min(first + _SEED_BATCH, trials))
+                for i, rng in zip(batch, [_trial_rng(config, i) for i in batch]):
+                    if stop.is_set():
+                        return
+                    rng.random(out=buf)
+                    sizes[i] = _leader_count(g, r)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(min(_cpu_count(), trials) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+        for thread in threads:
+            thread.join()
+    finally:
+        # after an error, or an interrupt of the calling thread, the workers stop before their next trial
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     denom = (math.log10(config.n) + 1) ** 2
     percentile_values = {p: int(nearest_rank_percentile(sizes, p)) for p in config.percentiles}
     return StudyResult(
         config=config,
-        sizes=sizes,
+        sizes=tuple(sizes),
         percentile_values=percentile_values,
         bound_values={c: bound_estimate(config.n, c) for c in BOUND_COEFFICIENTS},
         fitted_c={p: percentile_values[p] / denom for p in config.percentiles},

@@ -1,8 +1,12 @@
 import contextlib
+import gc
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +15,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentumrank import build_delta_system, leader_weight
+from momentumrank import cli
 from momentumrank.cli import main
 
 from util import STYLES, random_pairs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +179,37 @@ def test_simulate_rejects_bad_percentiles(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "100", "--percentiles", "95,max")
     assert code == 2
     assert "percentiles" in err
+
+
+def test_simulate_rejects_repeated_percentiles(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--n", "100", "--percentiles", "95,95")
+    assert (code, out) == (2, "")
+    assert err == "error: percentiles must not repeat, got 95.0 twice\n"
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, "simulate", "--n", "500", "--trials", "3")
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_process_entry_freezes_the_collector_then_exits_with_mains_code(monkeypatch):
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 2)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run()
+    assert (excinfo.value.code, events) == (2, ["freeze", "main"])
+
+
+def test_python_m_prints_the_golden_report():
+    argv = ["simulate", "--n", "2000", "--trials", "20", "--seed", "7"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "momentumrank", *argv], env=env, capture_output=True, check=True)
+    assert out.stdout == (GOLDEN / "simulate_n2000_t20_s7.md").read_bytes()
+    assert out.stderr == b""
 
 
 def test_duplicate_id_in_gains_table_exits_2_with_line(capsys, tmp_path):

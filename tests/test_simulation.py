@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from momentumrank import (
     run_trial,
     trial_gains,
 )
+from momentumrank import simulation
 from momentumrank.frontier import _SAMPLE, leader_mask
 from momentumrank.simulation import _corner_survivors, _leader_count, bound_estimate, nearest_rank_percentile
 
@@ -43,6 +45,7 @@ class TestStudyConfig:
             (dict(n=100, trials=1, percentiles=(100.0,)), "percentiles"),
             (dict(n=100, trials=1, percentiles=()), "percentile"),
             (dict(n=100, trials=1, seed=-1), "seed"),
+            (dict(n=100, trials=1, percentiles=(95.0, 99.0, 95.0)), "percentiles must not repeat, got 95.0 twice"),
         ],
         # pinned, so that a case keeps its id when others are added or dropped
         ids=[
@@ -52,6 +55,7 @@ class TestStudyConfig:
             "kwargs5-percentiles",
             "kwargs6-percentile",
             "kwargs9-seed",
+            "repeated-percentile",
         ],
     )
     def test_invalid_configs_rejected(self, kwargs, match):
@@ -266,6 +270,54 @@ class TestRunStudy:
         backward = [run_trial(config, t) for t in reversed(range(config.trials))]
         assert forward == list(reversed(backward))
         assert run_study(config).sizes == tuple(forward)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("trials", [1, 2, 40])
+    def test_sizes_do_not_depend_on_the_worker_count(self, monkeypatch, workers, trials):
+        config = StudyConfig(n=3000, trials=trials, seed=31)
+        monkeypatch.setattr(simulation, "_cpu_count", lambda: workers)
+        assert run_study(config).sizes == tuple(run_trial(config, i) for i in range(trials))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_trial_stops_every_worker(self, monkeypatch, workers):
+        # the third count fails; every other worker stops before its next trial
+        calls = []
+        lock = threading.Lock()
+
+        def failing(g, r):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise RuntimeError("count failed")
+            return _leader_count(g, r)
+
+        monkeypatch.setattr(simulation, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(simulation, "_leader_count", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="count failed"):
+            run_study(StudyConfig(n=2000, trials=200, seed=3))
+        assert len(calls) <= 3 + workers - 1
+        assert threading.active_count() == threads
+
+    def test_an_interrupt_on_the_calling_thread_stops_every_worker(self, monkeypatch):
+        calls = []
+        interrupted = threading.Event()
+
+        def count(g, r):
+            calls.append(None)
+            if threading.current_thread() is threading.main_thread():
+                interrupted.set()
+                raise KeyboardInterrupt
+            interrupted.wait(timeout=30)  # the worker's trial is in flight at the interrupt
+            return _leader_count(g, r)
+
+        monkeypatch.setattr(simulation, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(simulation, "_leader_count", count)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_study(StudyConfig(n=2000, trials=400, seed=3))
+        assert len(calls) <= 2
+        assert threading.active_count() == threads
 
 
 class TestNearestRankPercentile:
