@@ -31,8 +31,14 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_format_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=FORMATS, default="markdown", help="report format")
+def _add_command(sub, name: str, func, help: str, *, inputs: bool = True) -> argparse.ArgumentParser:
+    """One subcommand: its system input flags when it reads a system, then ``--format``."""
+    p = sub.add_parser(name, help=help)
+    if inputs:
+        _add_input_flags(p)
+    p.add_argument("--format", choices=FORMATS, default="markdown", help="report format")
+    p.set_defaults(func=func)
+    return p
 
 
 def _load_system(args: argparse.Namespace) -> DeltaSystem:
@@ -58,7 +64,7 @@ def cmd_leaders(args: argparse.Namespace) -> int:
     if args.layers < 1:
         raise InputError(f"--layers must be >= 1, got {args.layers}")
     result = frontier_sortscan(ds)
-    layers = runners_up(ds, args.layers) if args.layers > 1 else None
+    layers = runners_up(result, args.layers) if args.layers > 1 else None
     print(write_report(result, args.format, layers=layers))
     return 0
 
@@ -119,43 +125,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--debug", action="store_true", help="re-raise internal errors with their traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("leaders", help="compute momentum leaders (the Pareto frontier)")
-    _add_input_flags(p)
-    _add_format_flag(p)
+    p = _add_command(sub, "leaders", cmd_leaders, "compute momentum leaders (the Pareto frontier)")
     p.add_argument("--layers", type=int, default=1, help="also peel K-1 runner-up layers")
-    p.set_defaults(func=cmd_leaders)
 
-    p = sub.add_parser("rank", help="order leaders by dominated weight")
-    _add_input_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_rank)
+    _add_command(sub, "rank", cmd_rank, "order leaders by dominated weight")
 
-    p = sub.add_parser("momentousness", help="score a whole system")
-    _add_input_flags(p)
-    _add_format_flag(p)
+    p = _add_command(sub, "momentousness", cmd_momentousness, "score a whole system")
     p.add_argument("--leaders-csv", metavar="PATH", help="pre-computed leader rows ([id,]r,w)")
-    p.set_defaults(func=cmd_momentousness)
 
-    p = sub.add_parser("compare", help="compare two systems by momentousness")
+    p = _add_command(sub, "compare", cmd_compare, "compare two systems by momentousness", inputs=False)
     p.add_argument("--leaders-csv-a", metavar="PATH")
     p.add_argument("--leaders-csv-b", metavar="PATH")
     p.add_argument("--gains-a", metavar="PATH")
     p.add_argument("--gains-b", metavar="PATH")
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("simulate", help="Monte Carlo study of frontier size under independent continuous gains")
+    study = "Monte Carlo study of frontier size under independent continuous gains"
+    p = _add_command(sub, "simulate", cmd_simulate, study, inputs=False)
     p.add_argument("--n", type=int, required=True, help="entities per trial")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--percentiles", default="95,99", help="comma-separated percentiles in (0,100)")
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify-bound", help="check frontier size against the moving-maxima count")
-    _add_input_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_verify_bound)
+    _add_command(sub, "verify-bound", cmd_verify_bound, "check frontier size against the moving-maxima count")
 
     return parser
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -17,17 +18,35 @@ import numpy as np
 from .core import DeltaSystem, InputError, dominates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrontierResult:
-    """Leader set of one system, reported in rank order."""
+    """Leader set of one system: ``positions`` holds each leader's rank minus 1, ascending, read-only.
+
+    ``leaders`` (their ids in rank order) and ``leader_set`` are built on first access.
+    """
 
     system: DeltaSystem
-    leaders: tuple[str, ...]
+    positions: np.ndarray
     algorithm: str
 
-    @property
+    def __post_init__(self) -> None:
+        self.positions.flags.writeable = False
+
+    @cached_property
+    def leaders(self) -> tuple[str, ...]:
+        return _ids(self.system, self.positions)
+
+    @cached_property
     def leader_set(self) -> frozenset[str]:
         return frozenset(self.leaders)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FrontierResult):
+            return NotImplemented
+        return (self.system, self.leaders, self.algorithm) == (other.system, other.leaders, other.algorithm)
+
+    def __hash__(self) -> int:
+        return hash((self.system, self.leaders, self.algorithm))
 
 
 @dataclass(frozen=True)
@@ -48,14 +67,13 @@ class BoundCheck(NamedTuple):
 
 
 class LeaderTable(NamedTuple):
-    """What each leader m leads, as columns in rank order.
+    """What each leader m of a frontier leads, as columns in the order of its positions.
 
-    ``positions`` holds each leader's rank minus 1, ``w`` its w(m) (None
-    when the system has no usable scores), ``left`` and ``right`` the ends
-    of its inclusive rank interval (L, R), and ``dominated`` its |D(m)|.
+    ``w`` holds its w(m) (None when the system has no usable scores),
+    ``left`` and ``right`` the ends of its inclusive rank interval (L, R),
+    and ``dominated`` its |D(m)|.
     """
 
-    positions: np.ndarray
     w: np.ndarray | None
     left: np.ndarray
     right: np.ndarray
@@ -151,14 +169,13 @@ def frontier_bruteforce(ds: DeltaSystem) -> FrontierResult:
     """All-pairs reference: an entity leads iff nothing dominates it."""
     _require_entities(ds)
     ents = ds.entities
-    leaders = tuple(e.id for e in ents if not any(dominates(e, f) for f in ents))
-    return FrontierResult(system=ds, leaders=leaders, algorithm="bruteforce")
+    positions = np.flatnonzero([not any(dominates(e, f) for f in ents) for e in ents])
+    return FrontierResult(system=ds, positions=positions, algorithm="bruteforce")
 
 
 def frontier_sortscan(ds: DeltaSystem) -> FrontierResult:
     _require_entities(ds)
-    leaders = _ids(ds, np.flatnonzero(leader_mask(ds.g, ds.r)))
-    return FrontierResult(system=ds, leaders=leaders, algorithm="sortscan")
+    return FrontierResult(system=ds, positions=np.flatnonzero(leader_mask(ds.g, ds.r)), algorithm="sortscan")
 
 
 def _ids(ds: DeltaSystem, positions: np.ndarray) -> tuple[str, ...]:
@@ -191,8 +208,8 @@ def _has_weights(ds: DeltaSystem) -> bool:
     return ds.has_scores and 0 < ds.total_score < math.inf
 
 
-def leader_rows(ds: DeltaSystem) -> LeaderTable:
-    """w(m), the interval and |D(m)| of every leader, in O(n log n) whatever the frontier size.
+def leader_rows(frontier: FrontierResult) -> LeaderTable:
+    """w(m), the interval and |D(m)| of every leader of a frontier, in O(n log n) whatever its size.
 
     Sorted by descending g, ties by ascending r, the leaders form a
     staircase along which r never falls. The leaders with g above an
@@ -203,8 +220,7 @@ def leader_rows(ds: DeltaSystem) -> LeaderTable:
     scores over them exactly in Python ints and rounds each sum once, so w
     has the bits of ``math.fsum`` at any system size.
     """
-    _require_entities(ds)
-    positions = np.flatnonzero(leader_mask(ds.g, ds.r))
+    ds, positions = frontier.system, frontier.positions
     size = len(positions)
     stair = positions[np.lexsort((ds.r[positions], -ds.g[positions]))]
     lo = np.searchsorted(ds.r[stair], ds.r, side="right")
@@ -214,7 +230,7 @@ def leader_rows(ds: DeltaSystem) -> LeaderTable:
     del lo, hi  # two columns of n, freed before the interval search
     rank_order = np.argsort(stair)  # staircase order to rank order
     left, right = _intervals(ds, positions)
-    return LeaderTable(positions, None if w is None else w[rank_order], left, right, dominated[rank_order])
+    return LeaderTable(None if w is None else w[rank_order], left, right, dominated[rank_order])
 
 
 def _range_fsums(terms: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
@@ -309,14 +325,18 @@ def verify_bound(ds: DeltaSystem) -> BoundCheck:
     return BoundCheck(lead.size, count, lead.size <= count)
 
 
-def runners_up(ds: DeltaSystem, layers: int) -> list[tuple[str, ...]]:
-    """Peel successive frontiers: layer k leads the system with layers 1..k-1 removed."""
+def runners_up(source: DeltaSystem | FrontierResult, layers: int) -> list[tuple[str, ...]]:
+    """Peel successive frontiers: layer k leads the system with layers 1..k-1 removed.
+
+    Given a frontier, layer 1 is that frontier, and the kernel runs only on the entities outside it.
+    """
     if layers < 1:
         raise InputError(f"layers must be >= 1, got {layers}")
-    _require_entities(ds)
-    remaining = np.arange(ds.n)
-    peeled: list[tuple[str, ...]] = []
-    for _ in range(layers):
+    frontier = source if isinstance(source, FrontierResult) else frontier_sortscan(source)
+    ds = frontier.system
+    remaining = np.delete(np.arange(ds.n), frontier.positions)
+    peeled = [frontier.leaders]
+    for _ in range(layers - 1):
         if not remaining.size:
             break
         mask = leader_mask(ds.g[remaining], ds.r[remaining])

@@ -17,7 +17,7 @@ import math
 from array import array
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def _column(cells: Sequence[str], name: str, lines: Sequence[int], faults: list,
 def parse_snapshot(path) -> Snapshot:
     """Read a snapshot from CSV (header ``id,score``) or JSON."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # -sig: drops a leading byte-order mark
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
     stripped = text.lstrip()
@@ -181,9 +181,10 @@ def _read_table(path) -> str:
     """A CSV table's whole text with its line ends as written; one that is not UTF-8 is an InputError.
 
     The file is read once, so a pipe such as ``/dev/stdin`` can be read too.
+    A leading byte-order mark, as spreadsheets write, is dropped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
@@ -276,12 +277,13 @@ def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 class _Report(NamedTuple):
     """One result in all three formats.
 
-    ``payload`` is the JSON document and ``header`` with ``rows`` the CSV
-    table. ``markdown`` lists blocks, joined by a blank line; a block is
-    text or a ``(header, rows)`` table.
+    ``payload()`` builds the JSON document, which only a JSON report
+    calls, and ``header`` with ``rows`` is the CSV table. ``markdown``
+    lists blocks, joined by a blank line; a block is text or a
+    ``(header, rows)`` table.
     """
 
-    payload: object
+    payload: Callable[[], object]
     header: Sequence[str]
     rows: Sequence[Sequence]
     markdown: list
@@ -290,24 +292,26 @@ class _Report(NamedTuple):
 def _frontier_report(result: FrontierResult, layers) -> _Report:
     ds = result.system
     header = ["id", "rank", "g", "r", "w", "interval", "|D(m)|"]
-    table = leader_rows(ds)
-    at = table.positions
+    table = leader_rows(result)
+    at = result.positions
     w = [None] * len(at) if table.w is None else table.w.tolist()
     columns = at.tolist(), ds.g[at].tolist(), ds.r[at].tolist(), w, table.left.tolist(), table.right.tolist()
     rows = [
         [ds.ids[i], i + 1, g, r, w_m, f"{lo}..{hi}", count]
         for i, g, r, w_m, lo, hi, count in zip(*columns, table.dominated.tolist())
     ]
-    payload = {
-        "algorithm": result.algorithm,
-        "window": ds.window,
-        "n": ds.n,
-        "leaders": [dict(zip(["id", "rank", "g", "r", "w", "interval", "dominated"], row)) for row in rows],
-    }
+
+    def payload() -> dict:
+        keys = ["id", "rank", "g", "r", "w", "interval", "dominated"]
+        leaders = [dict(zip(keys, row)) for row in rows]
+        doc = {"algorithm": result.algorithm, "window": ds.window, "n": ds.n, "leaders": leaders}
+        if layers is not None:
+            doc["layers"] = [list(layer) for layer in layers]
+        return doc
+
     markdown = [(header, rows)]
     if layers is None:
         return _Report(payload, header, rows, markdown)
-    payload["layers"] = [list(layer) for layer in layers]
     flat = [[1, *row] for row in rows]
     # one scan finds the runner-ups, so no id index over all n is built
     wanted = set().union(*layers[1:])
@@ -328,14 +332,17 @@ def _frontier_report(result: FrontierResult, layers) -> _Report:
 def _ranking_report(ranking: LeaderRanking) -> _Report:
     header = ["id", "w", "r"]
     rows = ranking.entries
-    return _Report({"leaders": [dict(zip(header, row)) for row in rows]}, header, rows, [(header, rows)])
+    return _Report(lambda: {"leaders": [dict(zip(header, row)) for row in rows]}, header, rows, [(header, rows)])
 
 
 def _momentousness_report(score: MomentousnessScore) -> _Report:
     header = ["id", "r", "w", "r*w"]
-    payload = {"value": score.value, "terms": [dict(zip(header, term)) for term in score.terms]}
-    markdown = [(header, score.terms), f"momentousness: {_fmt_human(score.value)}"]
-    return _Report(payload, header, [*score.terms, ("TOTAL", None, None, score.value)], markdown)
+    return _Report(
+        lambda: {"value": score.value, "terms": [dict(zip(header, term)) for term in score.terms]},
+        header,
+        [*score.terms, ("TOTAL", None, None, score.value)],
+        [(header, score.terms), f"momentousness: {_fmt_human(score.value)}"],
+    )
 
 
 def _comparison_report(comparison: SystemComparison) -> _Report:
@@ -347,7 +354,7 @@ def _comparison_report(comparison: SystemComparison) -> _Report:
     else:
         line = f"B more momentous ({_fmt_human(b)} > {_fmt_human(a)})"
     return _Report(
-        {"a": a, "b": b, "verdict": verdict},
+        lambda: {"a": a, "b": b, "verdict": verdict},
         ["system", "momentousness"],
         [["a", a], ["b", b], ["verdict", verdict]],
         [f"momentousness A: {_fmt(a)}\nmomentousness B: {_fmt(b)}\n{line}"],
@@ -373,7 +380,7 @@ def _study_report(result: StudyResult) -> _Report:
     table = (["percentile", "size", "fitted c"], [[p, v, fitted[p]] for p, v in percentiles.items()])
     bound_line = ", ".join(f"c={k}: {_fmt_human(v)}" for k, v in bounds.items())
     return _Report(
-        payload,
+        lambda: payload,
         ["trial", "size"],
         [[i, s] for i, s in enumerate(result.sizes)],
         [f"n={cfg.n} trials={cfg.trials} seed={cfg.seed}", table, f"bound c*(log10(n)+1)^2 -> {bound_line}"],
@@ -386,21 +393,20 @@ def _bound_report(check: BoundCheck) -> _Report:
         f"moving maxima: {check.moving_maxima_count}\n"
         f"bound holds: {str(check.holds).lower()}"
     )
-    return _Report(check._asdict(), check._fields, [check], [text])
+    return _Report(check._asdict, check._fields, [check], [text])
 
 
 def _system_report(ds: DeltaSystem) -> _Report:
     scores = [None if math.isnan(s) else s for s in ds.score.tolist()]
     columns = (ds.ids, scores, ds.g.tolist(), ds.r.tolist())
-    payload = {
-        "window": ds.window,
-        "total_score": ds.total_score,
-        "has_scores": ds.has_scores,
-        "entities": [
+
+    def payload() -> dict:
+        entities = [
             {"id": eid, "rank": rank, "score": score, "g": g, "r": r}
             for rank, (eid, score, g, r) in enumerate(zip(*columns), start=1)
-        ],
-    }
+        ]
+        return {"window": ds.window, "total_score": ds.total_score, "has_scores": ds.has_scores, "entities": entities}
+
     if any(s is not None for s in scores):
         header, rows = ["id", "score", "g", "r"], list(zip(*columns))
     else:
@@ -429,7 +435,7 @@ def write_report(result, fmt: str = "markdown", *, layers=None) -> str:
     else:
         raise InputError(f"no report writer for {type(result).__name__}")
     if fmt == "json":
-        return _json_document(report.payload)
+        return _json_document(report.payload())
     if fmt == "csv":
         return _csv_document(report.header, report.rows)
     return "\n\n".join(b if isinstance(b, str) else _markdown_table(*b) for b in report.markdown)

@@ -14,7 +14,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .core import DeltaSystem, InputError, _check_columns
-from .frontier import _has_weights, leader_rows
+from .frontier import _has_weights, frontier_sortscan, leader_rows
 
 
 @dataclass(frozen=True)
@@ -69,19 +69,17 @@ def normalized_weights(ds: DeltaSystem) -> dict[str, float]:
 
 def leader_weight(ds: DeltaSystem, leader_id: str) -> float:
     """w(m): summed normalized scores of the entities m dominates."""
-    table = leader_rows(ds)
-    ids = list(map(ds.ids.__getitem__, table.positions.tolist()))
+    ids, w, _ = _weighted_leaders(ds)
     if leader_id not in ids:
         raise InputError(f"{leader_id!r} is not a momentum leader")
-    _require_weights(ds)
-    return float(table.w[ids.index(leader_id)])
+    return float(w[ids.index(leader_id)])
 
 
-def _weighted_leaders(ds: DeltaSystem) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The leaders' ids, w and r, in rank order."""
-    table = leader_rows(ds)
+def _weighted_leaders(ds: DeltaSystem) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The leaders' ids, w and r, in rank order, from one run of the kernel."""
+    frontier = frontier_sortscan(ds)
     _require_weights(ds)
-    return list(map(ds.ids.__getitem__, table.positions.tolist())), table.w, ds.r[table.positions]
+    return frontier.leaders, leader_rows(frontier).w, ds.r[frontier.positions]
 
 
 def rank_leaders(ds: DeltaSystem) -> LeaderRanking:

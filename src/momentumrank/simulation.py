@@ -83,35 +83,17 @@ def _trial_rng(config: StudyConfig, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((config.seed, trial_index)))
 
 
-def trial_gains(
-    config: StudyConfig, trial_index: int, *, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The independent uniform (g, r) draws of one trial, as the two rows of one buffer.
+def trial_gains(config: StudyConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The independent uniform (g, r) draws of one trial, as the two rows of one fresh buffer.
 
-    ``out``, when given, must be a writable C-contiguous float64 array of
-    shape ``(2, n)``; it is overwritten, and the returned ``g`` and ``r``
-    are views of its rows. Without ``out`` each call fills a fresh buffer,
-    so results of separate calls never alias. One ``random`` call fills
-    both rows: PCG64 spends one 64-bit draw per double, so ``g`` and ``r``
-    are the first and the next ``n`` draws, as from two ``random(n)`` calls.
-    The draws are not mapped to another law: no strictly increasing map
-    can change a trial's leaders, so the uniforms count as any continuous
-    marginals would.
+    One ``random`` call fills both rows, as ``run_study`` fills its buffers:
+    PCG64 spends one 64-bit draw per double, so ``g`` and ``r`` are the first
+    and the next ``n`` draws, as from two ``random(n)`` calls. No strictly
+    increasing map can change a trial's leaders, so the uniforms count as
+    any continuous marginals would.
     """
-    shape = (2, config.n)
-    if out is None:
-        out = np.empty(shape)
-    elif not (
-        isinstance(out, np.ndarray)
-        and out.shape == shape
-        and out.dtype == np.float64
-        and out.flags.c_contiguous
-        and out.flags.writeable
-    ):
-        raise InputError(f"out must be a writable C-contiguous float64 array of shape {shape}")
-    rng = _trial_rng(config, trial_index)
-    rng.random(out=out)
-    return out[0], out[1]
+    g, r = _trial_rng(config, trial_index).random((2, config.n))
+    return g, r
 
 
 def _leader_count(g: np.ndarray, r: np.ndarray) -> int:

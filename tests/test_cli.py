@@ -14,11 +14,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from momentumrank import build_delta_system, leader_weight
+from momentumrank import build_delta_system, frontier, leader_weight, parse_gains_table
 from momentumrank import cli
 from momentumrank.cli import main
 
-from util import STYLES, random_pairs
+from util import KERNEL_STYLES, STYLES, kernel_pairs, random_pairs
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -298,6 +298,58 @@ def test_w_identical_across_leaders_rank_and_leader_weight(capsys, tmp_path, sty
         from_rank = {row["id"]: row["w"] for row in json.loads(out)["leaders"]}
         from_api = {m: leader_weight(ds, m) for m in from_leaders}
         assert from_leaders == from_rank == from_api
+
+
+def _scored_table(path, g, r, scores) -> Path:
+    rows = zip(scores.tolist(), g.tolist(), r.tolist())
+    path.write_text("id,score,g,r\n" + "".join(f"e{i:04d},{s!r},{a!r},{b!r}\n" for i, (s, a, b) in enumerate(rows)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["leaders", "--gains", "big"],
+        ["leaders", "--gains", "big", "--layers", "3"],
+        ["rank", "--gains", "big"],
+        ["momentousness", "--gains", "big"],
+        ["verify-bound", "--gains", "big"],
+        ["compare", "--gains-a", "abcd", "--gains-b", "big"],
+    ],
+    ids=" ".join,
+)
+def test_each_command_runs_the_kernel_once_over_all_entities(capsys, monkeypatch, tmp_path, fixtures_dir, argv):
+    # runner-up layers run the kernel on what is left outside the frontier, never on all n again
+    rng = np.random.default_rng(71)
+    tables = {"abcd": fixtures_dir / "abcd.csv", "big": _scored_table(tmp_path / "big.csv", *rng.random((3, 3000)))}
+    argv = [str(tables.get(arg, arg)) for arg in argv]
+    sizes = []
+    kernel = frontier.leader_mask
+
+    def counted(g, r):
+        sizes.append(len(g))
+        return kernel(g, r)
+
+    monkeypatch.setattr(frontier, "leader_mask", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    inputs = sorted(parse_gains_table(arg).n for arg in argv if arg.endswith(".csv"))
+    assert sorted(n for n in sizes if n in inputs) == inputs
+
+
+@pytest.mark.parametrize("style", KERNEL_STYLES)
+def test_rank_csv_read_back_as_leader_rows_gives_the_same_momentousness(capsys, tmp_path, style):
+    rng = np.random.default_rng([67, KERNEL_STYLES.index(style)])
+    gains = _scored_table(tmp_path / "gains.csv", *kernel_pairs(rng, 2000, style), rng.random(2000) * 1e6)
+    code, ranked, _ = run_cli(capsys, "rank", "--gains", str(gains), "--format", "csv")
+    assert code == 0
+    leaders = tmp_path / "leaders.csv"
+    leaders.write_text(ranked)
+    values = []
+    for flag, path in (("--leaders-csv", leaders), ("--gains", gains)):
+        code, out, _ = run_cli(capsys, "momentousness", flag, str(path), "--format", "json")
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1]
 
 
 @pytest.mark.parametrize("command", ["rank", "momentousness"])

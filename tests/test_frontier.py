@@ -165,12 +165,13 @@ def test_float_edges_through_the_build(values):
 
 def batch_rows(ds) -> list[tuple]:
     """``leader_rows`` as (id, w bits, interval, |D(m)|) per leader."""
-    table = leader_rows(ds)
-    w = [None] * len(table.positions) if table.w is None else [float(x).hex() for x in table.w]
+    result = frontier_sortscan(ds)
+    table = leader_rows(result)
+    w = [None] * len(result.positions) if table.w is None else [float(x).hex() for x in table.w]
     return [
         (ds.ids[p], bits, (lo, hi), count)
         for p, bits, lo, hi, count in zip(
-            table.positions.tolist(), w, table.left.tolist(), table.right.tolist(), table.dominated.tolist()
+            result.positions.tolist(), w, table.left.tolist(), table.right.tolist(), table.dominated.tolist()
         )
     ]
 
@@ -219,7 +220,8 @@ def test_leader_rows_round_like_fsum_past_the_kept_limbs():
     # 0.25 + 2**-55 is a tie that rounds down to even; 2**-202, far below, breaks it upwards
     records = [("m", 0.75, 4.0, 4.0), ("a", 0.25, 3.0, 3.0), ("b", 2.0**-55, 2.0, 2.0), ("c", 2.0**-202, 1.0, 1.0)]
     ds = build_delta_system(records)
-    assert leader_rows(ds).w.tolist() == [0.25 + 2.0**-54] == [math.fsum([0.25, 2.0**-55, 2.0**-202])]
+    w = leader_rows(frontier_sortscan(ds)).w
+    assert w.tolist() == [0.25 + 2.0**-54] == [math.fsum([0.25, 2.0**-55, 2.0**-202])]
 
 
 @pytest.mark.parametrize("tiny", range(27))
@@ -245,8 +247,8 @@ def test_leader_rows_sum_across_the_widest_exponent_span():
     ds = build_delta_system(records)
     assert ds.score[ds.index("t")] / ds.total_score == tiny
     assert batch_rows(ds) == oracle_rows(ds, frontier_sortscan(ds).leaders)
-    table = leader_rows(ds)
-    w = {ds.ids[p]: x for p, x in zip(table.positions.tolist(), table.w.tolist())}
+    result = frontier_sortscan(ds)
+    w = dict(zip(result.leaders, leader_rows(result).w.tolist()))
     assert w == {"m": 0.5 + 2.0**-53, "s": tiny}
     assert math.fsum([0.5, 2.0**-54, tiny]) == 0.5 + 2.0**-53 != 0.5 + 2.0**-54
 
@@ -261,8 +263,8 @@ def test_leader_rows_sum_long_overlapping_ranges():
     r = np.concatenate((1299 - k, 1000 + b))
     scores = 10.0 ** rng.uniform(-300, 300, len(g))
     ds = build_delta_system(records_from_pairs(g, r, scores))
-    table = leader_rows(ds)
-    assert len(table.positions) == 300 and table.dominated.max() > 2000
+    result = frontier_sortscan(ds)
+    assert len(result.positions) == 300 and leader_rows(result).dominated.max() > 2000
     assert batch_rows(ds) == oracle_rows(ds, frontier_sortscan(ds).leaders)
 
 

@@ -506,6 +506,39 @@ class TestColumnarReaders:
             os.close(out)
 
 
+class TestByteOrderMark:
+    # spreadsheets' "CSV UTF-8" starts the file with U+FEFF
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (parse_gains_table, "id,score,g,r\na,3,1,0.5\nb,2,2,0.1\n"),
+            (parse_gains_table, 'id,score,g,r\n"a",3,"1,000",5%\nb,2,2,0.1\n'),
+            (parse_leaders_table, "id,r,w\na,0.1,0.5\nb,0.2,0.25\n"),
+            (parse_snapshot, "id,score\na,3\nb,2\n"),
+            (parse_snapshot, '{"timestamp": "t0", "scores": {"a": 3, "b": 2}}'),
+        ],
+        ids=["gains", "quoted gains", "leaders", "csv snapshot", "json snapshot"],
+    )
+    def test_one_leading_mark_is_dropped(self, tmp_path, read, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert read(marked) == read(plain)
+
+    def test_only_one_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("\ufeff\ufeffid,g,r\na,1,0.5\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"missing \['id'\]"):
+            parse_gains_table(p)
+
+    @pytest.mark.parametrize("cell", ["x", '"x"'], ids=["plain", "quoted"])
+    def test_fault_keeps_its_line(self, tmp_path, cell):
+        p = tmp_path / "g.csv"
+        p.write_text(f"\ufeffid,g,r\na,1,0.5\nb,{cell},0.1\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"line 3, column g: cannot parse number 'x'"):
+            parse_gains_table(p)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("with_scores", [True, False])
     def test_gains_csv_round_trips_exactly(self, tmp_path, with_scores):

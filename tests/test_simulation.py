@@ -104,9 +104,7 @@ class TestTrialGains:
         config = StudyConfig(n=n, trials=1, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
         expected = (rng.random(n), rng.random(n))
-        buf = np.full((2, n), np.nan)
-        for got in (trial_gains(config, trial_index), trial_gains(config, trial_index, out=buf)):
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert [a.tobytes() for a in trial_gains(config, trial_index)] == [a.tobytes() for a in expected]
 
     @settings(max_examples=200)
     @given(
@@ -123,42 +121,11 @@ class TestTrialGains:
         pareto = alloc_trial_gains(config, trial_index, alpha, x_min, x_min * span)
         assert np.array_equal(leader_mask(*trial_gains(config, trial_index)), leader_mask(*pareto))
 
-    def test_rows_are_views_of_out(self):
-        config = StudyConfig(n=50, trials=1, seed=1)
-        buf = np.empty((2, 50))
-        g, r = trial_gains(config, 0, out=buf)
-        assert np.shares_memory(g, buf[0]) and np.shares_memory(r, buf[1])
-        trial_gains(config, 3, out=buf)
-        assert np.array_equal(buf, np.stack(trial_gains(config, 3)))
-
     def test_calls_without_out_never_alias(self):
         config = StudyConfig(n=50, trials=1, seed=1)
         g1, r1 = trial_gains(config, 0)
         g2, r2 = trial_gains(config, 0)
         assert not any(np.shares_memory(a, b) for a in (g1, r1) for b in (g2, r2))
-
-    @pytest.mark.parametrize(
-        "out",
-        [
-            np.empty((2, 49)),
-            np.empty((50, 2)),
-            np.empty(100),
-            np.empty((2, 50), dtype=np.float32),
-            np.empty((2, 50), order="F"),
-            np.empty((2, 100))[:, ::2],
-            [[0.0] * 50] * 2,
-        ],
-        ids=["short", "transposed", "flat", "float32", "fortran", "strided", "list"],
-    )
-    def test_wrong_out_rejected(self, out):
-        with pytest.raises(InputError, match="out must be"):
-            trial_gains(StudyConfig(n=50, trials=1), 0, out=out)
-
-    def test_read_only_out_rejected(self):
-        buf = np.empty((2, 50))
-        buf.flags.writeable = False
-        with pytest.raises(InputError, match="out must be"):
-            trial_gains(StudyConfig(n=50, trials=1), 0, out=buf)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux-specific")
     def test_study_loop_does_not_fault_in_fresh_pages(self):
