@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage or input error, 1 internal failure. stdout
-carries exactly the report; diagnostics go to stderr. With ``--debug`` an
-internal failure is re-raised with its traceback.
+Exit codes: 0 success, 2 usage or input error, 1 internal failure; a
+closed stdout ends the process by ``SIGPIPE``. stdout carries exactly the
+report; diagnostics go to stderr. With ``--debug`` an internal failure is
+re-raised with its traceback.
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import signal
 import sys
 
 from .core import DeltaSystem, InputError, derive_from_snapshots
@@ -171,9 +173,13 @@ def run() -> None:
     ``gc.freeze()`` moves every object that start-up and the imports made
     into the collector's permanent generation, so neither a collection
     during the run nor the ones the interpreter runs at exit walk them
-    again. That saves about 30 ms of every command's exit. ``main`` itself
-    leaves the collector alone, so callers that run it in-process keep
-    their own.
+    again. That saves about 30 ms of every command's exit. Where the
+    platform has ``SIGPIPE``, its default action is restored, so a closed
+    stdout, as ``| head`` leaves, ends the process silently, as it ends
+    ``cat``. ``main`` itself leaves the collector and the signals alone, so
+    callers that run it in-process keep their own.
     """
     gc.freeze()
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

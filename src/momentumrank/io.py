@@ -16,7 +16,6 @@ import json
 import math
 from array import array
 from itertools import compress, repeat
-from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,10 +64,7 @@ def _column(cells: Sequence[str], name: str, lines: Sequence[int], faults: list,
 
 def parse_snapshot(path) -> Snapshot:
     """Read a snapshot from CSV (header ``id,score``) or JSON."""
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # -sig: drops a leading byte-order mark
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+    text = _read_table(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _snapshot_from_json(stripped, path)
@@ -110,11 +106,12 @@ def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
     """Split a CSV text that needs no quoting rules into its header row and data columns.
 
     Returns None, leaving the text to ``csv.reader``, unless the text has no
-    '"', '\\r' or NUL, and every line, the header too, has the header's
-    field count (at least two) and no field longer than
+    '"', NUL or '\\r' but in CRLF, and every line, the header too, has the
+    header's field count (at least two) and no field longer than
     ``csv.field_size_limit()`` bytes. On such a text ``csv.reader`` reads
-    each line as the line split at every ','.
+    each line, ended by LF or CRLF, as the line split at every ','.
     """
+    text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text or "\0" in text:
         return None
     if not text.endswith("\n"):
@@ -178,10 +175,11 @@ def _split(text: str, width: int | None = None):
 
 
 def _read_table(path) -> str:
-    """A CSV table's whole text with its line ends as written; one that is not UTF-8 is an InputError.
+    """The whole text of an input file, CSV or JSON, with its line ends as written.
 
     The file is read once, so a pipe such as ``/dev/stdin`` can be read too.
-    A leading byte-order mark, as spreadsheets write, is dropped.
+    A leading byte-order mark, as spreadsheets write, is dropped, and a file
+    that is not UTF-8 is an InputError.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -190,39 +188,39 @@ def _read_table(path) -> str:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _table(path, required: set[str], expected: str):
-    """``_split`` of a CSV table, less its header; a table without the ``required`` columns is an InputError."""
+def _table(path, required: set[str], expected: str, empty: str):
+    """``_split`` of a CSV table, less its header; one lacking a ``required`` column or any record is an InputError."""
     _, columns, lines, faults = _split(_read_table(path))
     missing = required - columns.keys()
     if missing:
         raise InputError(f"{path}: expected columns {expected} (missing {sorted(missing)})")
+    if not lines and not faults:
+        raise InputError(f"{path}: {empty}")
     return columns, lines, faults
 
 
-def parse_gains_table(path, window: str = "") -> DeltaSystem:
+def parse_gains_table(path) -> DeltaSystem:
     """Read a pre-diffed gains table: columns ``id[,score],g,r``, extras ignored.
 
     Row order defines rank when the score column is absent or has a blank cell.
     """
-    columns, lines, faults = _table(path, {"id", "g", "r"}, "id[,score],g,r")
+    columns, lines, faults = _table(path, {"id", "g", "r"}, "id[,score],g,r", "no entities")
     ids = list(map(str.strip, columns["id"]))
     g = _column(columns["g"], "g", lines, faults)
     r = _column(columns["r"], "r", lines, faults, percent=True)
     score = _column(columns["score"], "score", lines, faults, blank=True) if "score" in columns else [None] * len(ids)
     del columns
-    return _build(ids, score, g, r, window, where=lines, found=faults)
+    return _build(ids, score, g, r, where=lines, found=faults)
 
 
 def parse_leaders_table(path) -> tuple[tuple[str, float, float], ...]:
     """Read pre-computed leader rows: columns ``[id,]r,w``; returns (id, r, w)."""
-    columns, lines, faults = _table(path, {"r", "w"}, "[id,]r,w")
+    columns, lines, faults = _table(path, {"r", "w"}, "[id,]r,w", "no leader rows")
     r = _column(columns["r"], "r", lines, faults, percent=True)
     w = _column(columns["w"], "w", lines, faults, percent=True)
     # a missing or blank id is the record's number
     ids = [eid.strip() or str(i) for i, eid in enumerate(columns.get("id", [""] * len(lines)), start=1)]
     _check_columns(ids, {"r": r, "w": w}, lines, faults)
-    if not ids:
-        raise InputError(f"{path}: no leader rows")
     return tuple(zip(ids, r.tolist(), w.tolist()))
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -197,10 +198,12 @@ def test_main_leaves_the_collector_unfrozen(capsys):
 def test_process_entry_freezes_the_collector_then_exits_with_mains_code(monkeypatch):
     events = []
     monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(signal, "signal", lambda *args: events.append(args))  # this process keeps its own
     monkeypatch.setattr(cli, "main", lambda: events.append("main") or 2)
     with pytest.raises(SystemExit) as excinfo:
         cli.run()
-    assert (excinfo.value.code, events) == (2, ["freeze", "main"])
+    default = [(signal.SIGPIPE, signal.SIG_DFL)] if hasattr(signal, "SIGPIPE") else []
+    assert (excinfo.value.code, events) == (2, ["freeze", *default, "main"])
 
 
 def test_python_m_prints_the_golden_report():
@@ -210,6 +213,41 @@ def test_python_m_prints_the_golden_report():
     out = subprocess.run([sys.executable, "-m", "momentumrank", *argv], env=env, capture_output=True, check=True)
     assert out.stdout == (GOLDEN / "simulate_n2000_t20_s7.md").read_bytes()
     assert out.stderr == b""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_process_silently():
+    # more report than a pipe buffers, so the process is still writing when the reader goes
+    argv = ["simulate", "--n", "100", "--trials", "20000", "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "momentumrank", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert head == [b"trial,size\n", b"0,4\n"]
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
+
+
+def test_quoted_crlf_id_reads_alike_from_gains_and_snapshots(capsys, tmp_path):
+    gains, before, after = (tmp_path / name for name in ("gains.csv", "before.csv", "after.csv"))
+    gains.write_bytes(b'id,g,r\r\n"a\r\nb",1,0.1\r\nc,0.5,0.05\r\n')
+    before.write_bytes(b'id,score\r\n"a\r\nb",10\r\nc,10\r\n')
+    after.write_bytes(b'id,score\r\n"a\r\nb",11\r\nc,10.5\r\n')
+    ids = []
+    for argv in (["--gains", str(gains)], ["--before", str(before), "--after", str(after)]):
+        code, out, err = run_cli(capsys, "leaders", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        ids.append([leader["id"] for leader in json.loads(out)["leaders"]])
+    assert ids == [["a\r\nb"], ["a\r\nb"]]
+
+
+@pytest.mark.parametrize("command", ["leaders", "rank", "momentousness", "verify-bound"])
+def test_header_only_gains_table_exits_2_naming_the_file(capsys, tmp_path, command):
+    path = tmp_path / "g.csv"
+    path.write_text("id,g,r\n")
+    assert run_cli(capsys, command, "--gains", str(path)) == (2, "", f"error: {path}: no entities\n")
 
 
 def test_duplicate_id_in_gains_table_exits_2_with_line(capsys, tmp_path):

@@ -327,7 +327,7 @@ def _csv_rows(reader):
 
 
 def _snapshot_from_csv(text: str, path) -> Snapshot:
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=""))
     rows = _csv_rows(reader)
     first = next(rows, None)
     if first is not None and [h.strip().lower() for h in first] != ["id", "score"]:
@@ -374,7 +374,7 @@ def _table_rows(text: str, path, required: set[str], expected: str):
             yield reader.line_num, row
 
 
-def _gains_from_rows(text: str, path, window: str = "") -> DeltaSystem:
+def _gains_from_rows(text: str, path) -> DeltaSystem:
     rows = _table_rows(text, path, {"id", "g", "r"}, "id[,score],g,r")
     id_at, g_at, r_at, score_at = map(next(rows).get, ("id", "g", "r", "score"))
     ids, score, g, r, lines = [], [], [], [], array("l")
@@ -391,7 +391,10 @@ def _gains_from_rows(text: str, path, window: str = "") -> DeltaSystem:
     except InputError:
         _build(ids, score, g, r, where=lines)  # a fault on an earlier line is reported first
         raise
-    return _build(ids, score, g, r, window, where=lines)
+    ds = _build(ids, score, g, r, where=lines)
+    if not ds.n:
+        raise InputError(f"{path}: no entities")
+    return ds
 
 
 def _leaders_from_rows(path) -> tuple[tuple[str, float, float], ...]:
