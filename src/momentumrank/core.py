@@ -191,7 +191,8 @@ def _check_columns(
     """Raise the error of the first faulty record: the one place the record rules live.
 
     Within a record, ids must be non-blank, then unique; then each column's
-    values must be non-negative (``score`` and ``w`` only) and finite.
+    values must be non-negative (``score`` and ``w`` only) and finite, and
+    so must ``r * w`` where both columns are given.
     ``where`` holds the records' CSV line numbers or names their JSON file.
     ``found`` holds ``(record, message)`` faults a reader has already found,
     such as a cell that does not parse. Each precedes the rules of its own
@@ -211,6 +212,10 @@ def _check_columns(
         if name in ("score", "w"):
             checks.append((f"negative {name}", column < 0, column))
         checks.append((f"non-finite {name}", ~np.isfinite(column), column))
+    if {"r", "w"} <= columns.keys():
+        with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is the fault sought
+            product = np.multiply(columns["r"], columns["w"], dtype=np.float64)
+        checks.append(("non-finite r*w", ~np.isfinite(product), product))
     for precedence, (fault, bad, column) in enumerate(checks, start=2):
         hits = np.flatnonzero(bad)
         if hits.size:

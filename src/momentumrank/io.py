@@ -5,8 +5,10 @@ either fractions or percent strings, thousands separators inside quoted
 fields, and scientific notation. Each CSV format has one reader: the text
 is split once into columns, each number column is converted to float64 as
 a whole, and the first fault in record order is reported with its line.
-Writers are deterministic: identical results serialize to byte-identical
-documents.
+Each report is one table of named columns, which every format renders: CSV
+and markdown a column at a time, and each JSON record list one record per
+row. Writers are deterministic: identical results serialize to
+byte-identical documents.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import json
 import math
 from array import array
 from itertools import compress, repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -242,16 +244,11 @@ def _fmt_human(value) -> str:
     return _fmt(value)
 
 
-def _json_document(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def _csv_document(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def _csv_document(table: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+    writer.writerow(table)
+    writer.writerows(zip(*(map(_fmt, column) for column in table.values())))
     return buf.getvalue().rstrip("\n")
 
 
@@ -260,86 +257,88 @@ def _one_line(text: str) -> str:
     return text.replace("\r", "<br>").replace("\n", "<br>")
 
 
-def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def _markdown_table(table: dict) -> str:
     def cell(value) -> str:
         return _one_line(_fmt_human(value).replace("|", "\\|"))
 
-    lines = [
-        "| " + " | ".join(map(cell, header)) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    lines += ["| " + " | ".join(map(cell, row)) + " |" for row in rows]
-    return "\n".join(lines)
+    rows = zip(*(map(cell, column) for column in table.values()))
+    lines = [map(cell, table), ("---" for _ in table), *rows]
+    return "\n".join(f"| {' | '.join(line)} |" for line in lines)
 
 
 class _Report(NamedTuple):
     """One result in all three formats.
 
-    ``payload()`` builds the JSON document, which only a JSON report
-    calls, and ``header`` with ``rows`` is the CSV table. ``markdown``
-    lists blocks, joined by a blank line; a block is text or a
-    ``(header, rows)`` table.
+    ``table`` maps each CSV column name to its cells. ``payload()`` builds
+    the JSON document, which only a JSON report calls. ``markdown`` lists
+    blocks, joined by a blank line; a block is text or a table of columns.
     """
 
     payload: Callable[[], object]
-    header: Sequence[str]
-    rows: Sequence[Sequence]
+    table: dict
     markdown: list
+
+
+def _columns(names: Sequence[str], rows: Sequence[Sequence]) -> dict:
+    """Rows as a table of named columns; a table with no rows keeps its names."""
+    return dict(zip(names, zip(*rows))) if rows else dict.fromkeys(names, ())
+
+
+def _records(table: dict, keys: Sequence[str] | None = None) -> list[dict]:
+    """The rows of a table as JSON objects, keyed by its column names or by ``keys``."""
+    keys = keys or list(table)
+    return [dict(zip(keys, row)) for row in zip(*table.values())]
 
 
 def _frontier_report(result: FrontierResult, layers) -> _Report:
     ds = result.system
-    header = ["id", "rank", "g", "r", "w", "interval", "|D(m)|"]
-    table = leader_rows(result)
-    at = result.positions
-    w = [None] * len(at) if table.w is None else table.w.tolist()
-    columns = at.tolist(), ds.g[at].tolist(), ds.r[at].tolist(), w, table.left.tolist(), table.right.tolist()
-    rows = [
-        [ds.ids[i], i + 1, g, r, w_m, f"{lo}..{hi}", count]
-        for i, g, r, w_m, lo, hi, count in zip(*columns, table.dominated.tolist())
-    ]
+    led = leader_rows(result)
+
+    def located(ids, at: np.ndarray) -> dict:
+        return {"id": ids, "rank": (at + 1).tolist(), "g": ds.g[at].tolist(), "r": ds.r[at].tolist()}
+
+    table = located(result.leaders, result.positions)
+    table["w"] = [None] * len(result.positions) if led.w is None else led.w.tolist()
+    table["interval"] = list(map("{}..{}".format, led.left.tolist(), led.right.tolist()))
+    table["|D(m)|"] = led.dominated.tolist()
 
     def payload() -> dict:
-        keys = ["id", "rank", "g", "r", "w", "interval", "dominated"]
-        leaders = [dict(zip(keys, row)) for row in rows]
+        leaders = _records(table, ["id", "rank", "g", "r", "w", "interval", "dominated"])
         doc = {"algorithm": result.algorithm, "window": ds.window, "n": ds.n, "leaders": leaders}
         if layers is not None:
             doc["layers"] = [list(layer) for layer in layers]
         return doc
 
-    markdown = [(header, rows)]
     if layers is None:
-        return _Report(payload, header, rows, markdown)
-    flat = [[1, *row] for row in rows]
+        return _Report(payload, table, [table])
     # one scan finds the runner-ups, so no id index over all n is built
     wanted = set().union(*layers[1:])
     where = {ds.ids[i]: i for i in compress(range(ds.n), map(wanted.__contains__, ds.ids))}
-    trailer = []
-    for depth, layer in enumerate(layers[1:], start=2):
-        for leader_id in layer:
-            if leader_id not in where:
-                raise InputError(f"unknown entity id {leader_id!r}")
-            i = where[leader_id]
-            flat.append([depth, leader_id, i + 1, float(ds.g[i]), float(ds.r[i]), None, None, None])
-        trailer.append(f"Layer {depth}: {', '.join(map(_one_line, layer))}")
-    if trailer:
-        markdown.append("\n".join(trailer))
-    return _Report(payload, ["layer", *header], flat, markdown)
+    runners = [leader_id for layer in layers[1:] for leader_id in layer]
+    try:
+        cells = located(runners, np.array([where[leader_id] for leader_id in runners], dtype=np.intp))
+    except KeyError as exc:
+        raise InputError(f"unknown entity id {exc.args[0]!r}") from None
+    depths = [depth for depth, layer in enumerate(layers[1:], start=2) for _ in layer]
+    layered = {"layer": [1] * len(result.positions) + depths}
+    for name, column in table.items():
+        layered[name] = [*column, *cells.get(name, [None] * len(runners))]
+    trailer = [f"Layer {depth}: {', '.join(map(_one_line, layer))}" for depth, layer in enumerate(layers[1:], start=2)]
+    return _Report(payload, layered, [table, "\n".join(trailer)] if trailer else [table])
 
 
 def _ranking_report(ranking: LeaderRanking) -> _Report:
-    header = ["id", "w", "r"]
-    rows = ranking.entries
-    return _Report(lambda: {"leaders": [dict(zip(header, row)) for row in rows]}, header, rows, [(header, rows)])
+    table = _columns(["id", "w", "r"], ranking.entries)
+    return _Report(lambda: {"leaders": _records(table)}, table, [table])
 
 
 def _momentousness_report(score: MomentousnessScore) -> _Report:
-    header = ["id", "r", "w", "r*w"]
+    terms = _columns(["id", "r", "w", "r*w"], score.terms)
+    total = ("TOTAL", None, None, score.value)
     return _Report(
-        lambda: {"value": score.value, "terms": [dict(zip(header, term)) for term in score.terms]},
-        header,
-        [*score.terms, ("TOTAL", None, None, score.value)],
-        [(header, score.terms), f"momentousness: {_fmt_human(score.value)}"],
+        lambda: {"value": score.value, "terms": _records(terms)},
+        {name: [*cells, last] for (name, cells), last in zip(terms.items(), total)},
+        [terms, f"momentousness: {_fmt_human(score.value)}"],
     )
 
 
@@ -353,8 +352,7 @@ def _comparison_report(comparison: SystemComparison) -> _Report:
         line = f"B more momentous ({_fmt_human(b)} > {_fmt_human(a)})"
     return _Report(
         lambda: {"a": a, "b": b, "verdict": verdict},
-        ["system", "momentousness"],
-        [["a", a], ["b", b], ["verdict", verdict]],
+        {"system": ["a", "b", "verdict"], "momentousness": [a, b, verdict]},
         [f"momentousness A: {_fmt(a)}\nmomentousness B: {_fmt(b)}\n{line}"],
     )
 
@@ -364,23 +362,13 @@ def _study_report(result: StudyResult) -> _Report:
     percentiles = {_fmt(float(p)): v for p, v in result.percentile_values.items()}
     fitted = {_fmt(float(p)): c for p, c in result.fitted_c.items()}
     bounds = {"1/3": result.bound_values[1 / 3], "1/2": result.bound_values[1 / 2]}
-    payload = {
-        "config": {
-            "n": cfg.n,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "percentiles": list(cfg.percentiles),
-        },
-        "percentiles": percentiles,
-        "bounds": bounds,
-        "fitted_c": fitted,
-    }
-    table = (["percentile", "size", "fitted c"], [[p, v, fitted[p]] for p, v in percentiles.items()])
+    config = {"n": cfg.n, "trials": cfg.trials, "seed": cfg.seed, "percentiles": list(cfg.percentiles)}
+    payload = {"config": config, "percentiles": percentiles, "bounds": bounds, "fitted_c": fitted}
+    table = _columns(["percentile", "size", "fitted c"], [(p, v, fitted[p]) for p, v in percentiles.items()])
     bound_line = ", ".join(f"c={k}: {_fmt_human(v)}" for k, v in bounds.items())
     return _Report(
         lambda: payload,
-        ["trial", "size"],
-        [[i, s] for i, s in enumerate(result.sizes)],
+        {"trial": range(len(result.sizes)), "size": result.sizes},
         [f"n={cfg.n} trials={cfg.trials} seed={cfg.seed}", table, f"bound c*(log10(n)+1)^2 -> {bound_line}"],
     )
 
@@ -391,25 +379,20 @@ def _bound_report(check: BoundCheck) -> _Report:
         f"moving maxima: {check.moving_maxima_count}\n"
         f"bound holds: {str(check.holds).lower()}"
     )
-    return _Report(check._asdict, check._fields, [check], [text])
+    return _Report(check._asdict, _columns(check._fields, [check]), [text])
 
 
 def _system_report(ds: DeltaSystem) -> _Report:
     scores = [None if math.isnan(s) else s for s in ds.score.tolist()]
-    columns = (ds.ids, scores, ds.g.tolist(), ds.r.tolist())
+    table = {"id": ds.ids, "score": scores, "g": ds.g.tolist(), "r": ds.r.tolist()}
+    if all(s is None for s in scores):
+        del table["score"]
 
     def payload() -> dict:
-        entities = [
-            {"id": eid, "rank": rank, "score": score, "g": g, "r": r}
-            for rank, (eid, score, g, r) in enumerate(zip(*columns), start=1)
-        ]
+        entities = _records({**table, "score": scores, "rank": range(1, ds.n + 1)})
         return {"window": ds.window, "total_score": ds.total_score, "has_scores": ds.has_scores, "entities": entities}
 
-    if any(s is not None for s in scores):
-        header, rows = ["id", "score", "g", "r"], list(zip(*columns))
-    else:
-        header, rows = ["id", "g", "r"], list(zip(ds.ids, *columns[2:]))
-    return _Report(payload, header, rows, [(header, rows)])
+    return _Report(payload, table, [table])
 
 
 def write_report(result, fmt: str = "markdown", *, layers=None) -> str:
@@ -433,7 +416,7 @@ def write_report(result, fmt: str = "markdown", *, layers=None) -> str:
     else:
         raise InputError(f"no report writer for {type(result).__name__}")
     if fmt == "json":
-        return _json_document(report.payload())
+        return json.dumps(report.payload(), sort_keys=True, indent=2)
     if fmt == "csv":
-        return _csv_document(report.header, report.rows)
-    return "\n\n".join(b if isinstance(b, str) else _markdown_table(*b) for b in report.markdown)
+        return _csv_document(report.table)
+    return "\n\n".join(b if isinstance(b, str) else _markdown_table(b) for b in report.markdown)

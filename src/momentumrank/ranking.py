@@ -102,10 +102,20 @@ def momentousness(source: SystemOrLeaders) -> MomentousnessScore:
         terms = tuple(zip(ids, r.tolist(), w.tolist(), (r * w).tolist()))
     else:
         terms = _leader_terms(source)
-    return MomentousnessScore(
-        value=math.fsum(t[3] for t in terms),
-        terms=terms,
-    )
+    return MomentousnessScore(value=_sum([t[3] for t in terms]), terms=terms)
+
+
+def _sum(values: list[float]) -> float:
+    """The correctly rounded sum of finite floats; a sum past the float range is an InputError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # a partial sum overflowed: the exact sum may still be a float
+        from fractions import Fraction  # imported on this rare path only: it adds 3 ms to every start
+
+        try:
+            return float(sum(map(Fraction, values)))
+        except OverflowError:
+            raise InputError("momentousness is past the float range: |sum of r*w| > 1.8e308") from None
 
 
 def _leader_terms(rows: LeaderRows) -> tuple[tuple[str, float, float, float], ...]:

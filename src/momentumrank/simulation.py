@@ -33,7 +33,6 @@ import numpy as np
 from .core import InputError
 
 BOUND_COEFFICIENTS = (1 / 3, 1 / 2)
-_SEED_BATCH = 16  # trials a study worker claims, and seeds, at a time
 
 
 @dataclass(frozen=True)
@@ -163,29 +162,30 @@ def run_study(config: StudyConfig) -> StudyResult:
     always draws from its own generator. ``_cpu_count()`` workers, capped at
     ``trials``, each own one ``(2, n)`` buffer, so the sampling loop
     allocates no fresh pages per trial; the calling thread is one of them.
-    A worker claims ``_SEED_BATCH`` trials at a time and seeds their
-    generators together, then fills its buffer for each one, which numpy
-    does without the GIL, and counts its leaders. An exception in any
-    worker, or a KeyboardInterrupt, stops every worker before its next
+    A worker claims one trial at a time, seeds its generator, fills its
+    buffer, which numpy does without the GIL, and counts its leaders. A
+    buffer numpy cannot allocate is an InputError naming n. An exception in
+    any worker, or a KeyboardInterrupt, stops every worker before its next
     trial and is raised here.
     """
     trials = config.trials
     sizes = [0] * trials
-    starts = iter(range(0, trials, _SEED_BATCH))  # shared: each next() is one C call, atomic under the GIL
+    claims = iter(range(trials))  # shared: each next() is one C call, atomic under the GIL
     stop = threading.Event()
     errors: list[BaseException] = []
 
     def work() -> None:
-        buf = np.empty((2, config.n))
-        g, r = buf
         try:
-            for first in starts:
-                batch = range(first, min(first + _SEED_BATCH, trials))
-                for i, rng in zip(batch, [_trial_rng(config, i) for i in batch]):
-                    if stop.is_set():
-                        return
-                    rng.random(out=buf)
-                    sizes[i] = _leader_count(g, r)
+            try:
+                buf = np.empty((2, config.n))
+            except (ValueError, MemoryError):  # numpy refuses the size, or the allocation fails
+                raise InputError(f"n={config.n} is too large: no memory for its (2, n) float64 buffer") from None
+            g, r = buf
+            for i in claims:
+                if stop.is_set():
+                    return
+                _trial_rng(config, i).random(out=buf)
+                sizes[i] = _leader_count(g, r)
         except BaseException as exc:
             errors.append(exc)
             stop.set()

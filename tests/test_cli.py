@@ -151,6 +151,39 @@ def test_compare_reports_more_momentous_system(capsys, fixtures_dir):
     assert "B more momentous (2.125 > 0.5)" in out
 
 
+OVERFLOW_ROWS = {
+    "partial sums overflow": ("a,1e308,1\nb,1e308,1\nc,-1e308,1\n", 0, ""),
+    "sum overflows": ("a,1e308,1\nb,1e308,1\n", 2, "momentousness is past the float range: |sum of r*w| > 1.8e308"),
+    "r*w overflows": ("a,1e308,1e308\n", 2, "line 2: non-finite r*w for 'a': inf"),
+    "r*w of both signs": ("a,1e308,1e308\nb,-1e308,1e308\n", 2, "line 2: non-finite r*w for 'a': inf"),
+}
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("rows, code, message", OVERFLOW_ROWS.values(), ids=OVERFLOW_ROWS)
+@pytest.mark.parametrize("command", ["momentousness", "compare"])
+def test_leader_rows_past_the_float_range_exit_2_never_1(capsys, tmp_path, fixtures_dir, command, rows, code, message):
+    path = tmp_path / "leaders.csv"
+    path.write_text("id,r,w\n" + rows)
+    if command == "momentousness":
+        argv = ["momentousness", "--leaders-csv", str(path)]
+    else:
+        argv = ["compare", "--leaders-csv-a", str(path), "--leaders-csv-b", str(fixtures_dir / "table8.csv")]
+    got, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert got == code
+    if code:
+        assert (out, err) == ("", f"error: {message}\n")
+    else:
+        doc = _strict_json(out)
+        assert doc["value" if command == "momentousness" else "a"] == 1e308
+
+
 def test_compare_missing_side_exits_2(capsys, fixtures_dir):
     code, _, err = run_cli(
         capsys, "compare", "--leaders-csv-a", str(fixtures_dir / "table8.csv")
@@ -174,6 +207,15 @@ def test_simulate_rejects_invalid_n(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "0")
     assert code == 2
     assert "n must" in err
+
+
+def test_simulate_with_an_n_numpy_cannot_allocate_exits_2(capsys, monkeypatch):
+    # numpy refuses this shape before it allocates anything
+    monkeypatch.setattr("momentumrank.simulation._cpu_count", lambda: 2)
+    n = str(10**30)
+    code, out, err = run_cli(capsys, "simulate", "--n", n, "--trials", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: n={n} is too large: no memory for its (2, n) float64 buffer\n"
 
 
 def test_simulate_rejects_bad_percentiles(capsys):

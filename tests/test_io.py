@@ -12,8 +12,11 @@ from momentumrank import io as mio
 from momentumrank import (
     InputError,
     StudyConfig,
+    LeaderRanking,
     build_delta_system,
+    compare_systems,
     frontier_sortscan,
+    momentousness,
     parse_gains_table,
     parse_leaders_table,
     parse_snapshot,
@@ -655,6 +658,31 @@ class TestWriteReport:
         doc = write_report(study, "markdown")
         assert "bound c*(log10(n)+1)^2" in doc
         assert "n=500 trials=5 seed=3" in doc
+
+    @pytest.mark.parametrize(
+        "result, fmt, expected",
+        [
+            (momentousness([]), "csv", "id,r,w,r*w\nTOTAL,,,0"),
+            (momentousness([]), "markdown", "| id | r | w | r*w |\n| --- | --- | --- | --- |\n\nmomentousness: 0"),
+            (momentousness([]), "json", '{\n  "terms": [],\n  "value": 0.0\n}'),
+            (LeaderRanking(entries=()), "csv", "id,w,r"),
+            (LeaderRanking(entries=()), "markdown", "| id | w | r |\n| --- | --- | --- |"),
+            (LeaderRanking(entries=()), "json", '{\n  "leaders": []\n}'),
+            (compare_systems([], []), "csv", "system,momentousness\na,0\nb,0\nverdict,equal"),
+            (compare_systems([], []), "markdown", "momentousness A: 0\nmomentousness B: 0\nequally momentous (0 = 0)"),
+            (compare_systems([], []), "json", '{\n  "a": 0.0,\n  "b": 0.0,\n  "verdict": "equal"\n}'),
+        ],
+        ids=[f"{kind}-{fmt}" for kind in ("momentousness", "ranking", "comparison") for fmt in ("csv", "md", "json")],
+    )
+    def test_empty_tables_keep_their_header(self, result, fmt, expected):
+        assert write_report(result, fmt) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown", "json"])
+    def test_layers_naming_an_unknown_id_are_rejected(self, table2, fmt):
+        frontier = frontier_sortscan(table2)
+        with pytest.raises(InputError) as excinfo:
+            write_report(frontier, fmt, layers=[frontier.leaders, ("zz",)])
+        assert str(excinfo.value) == "unknown entity id 'zz'"
 
     def test_unknown_format_rejected(self, table2):
         with pytest.raises(InputError, match="format"):

@@ -185,8 +185,14 @@ class TestMomentousness:
             ([(" ", 0.1, 0.5)], "empty entity id"),
             ([(0.1, 0.5), ("1", 0.2, 0.7)], "duplicate entity id '1'"),  # repeats a row number
             ([("a", 0.1, -0.5), ("b", 1.0, 2.0, 3.0)], "negative w for 'a': -0.5"),  # before the later shape fault
+            ([("a", 1e308, 1e308)], "non-finite r*w for 'a': inf"),
+            ([("a", 1e308, 1e308), ("b", -1e308, 1e308)], "non-finite r*w for 'a': inf"),
+            ([("a", 1e308, 0.5), ("b", math.nan, 1e308)], "non-finite r for 'b': nan"),  # r before r*w
         ],
-        ids=["duplicate", "nan r", "negative w", "inf w", "blank id", "row number", "earlier row first"],
+        ids=[
+            "duplicate", "nan r", "negative w", "inf w", "blank id", "row number", "earlier row first",
+            "r*w past the float range", "r*w of both signs", "nan r times a huge w",
+        ],
     )
     def test_rows_obey_the_leader_table_rules(self, rows, message):
         # the same rules as --leaders-csv, without a line number
@@ -195,6 +201,18 @@ class TestMomentousness:
         assert str(excinfo.value) == message
         with pytest.raises(InputError):
             compare_systems(TABLE8_ROWS, rows)
+
+    def test_terms_whose_partial_sums_overflow_sum_exactly(self):
+        rows = [("a", 1e308, 1.0), ("b", 1e308, 1.0), ("c", -1e308, 1.0)]
+        assert momentousness(rows).value == 1e308
+        assert compare_systems(rows, TABLE8_ROWS).a.value == 1e308
+
+    def test_a_sum_past_the_float_range_is_an_input_error(self):
+        rows = [("a", 1e308, 1.0), ("b", 1e308, 1.0)]
+        for score in (lambda: momentousness(rows), lambda: compare_systems(TABLE8_ROWS, rows)):
+            with pytest.raises(InputError) as excinfo:
+                score()
+            assert str(excinfo.value) == "momentousness is past the float range: |sum of r*w| > 1.8e308"
 
 
 class TestCompareSystems:

@@ -286,6 +286,23 @@ class TestRunStudy:
         assert len(calls) <= 2
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_buffer_numpy_refuses_is_an_input_error_naming_n(self, monkeypatch, workers):
+        monkeypatch.setattr(simulation, "_cpu_count", lambda: workers)
+        threads = threading.active_count()
+        with pytest.raises(InputError, match=f"^n={10**30} is too large"):
+            run_study(StudyConfig(n=10**30, trials=2))
+        assert threading.active_count() == threads
+
+    def test_a_buffer_that_cannot_be_allocated_is_an_input_error_naming_n(self, monkeypatch):
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        monkeypatch.setattr(simulation, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(simulation.np, "empty", no_memory)
+        with pytest.raises(InputError, match="^n=5000 is too large"):
+            run_study(StudyConfig(n=5000, trials=3))
+
 
 class TestNearestRankPercentile:
     def test_decile_sample(self):
