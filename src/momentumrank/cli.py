@@ -11,6 +11,7 @@ import argparse
 import gc
 import signal
 import sys
+from collections import Counter
 
 from .core import DeltaSystem, InputError, derive_from_snapshots
 from .frontier import frontier_sortscan, runners_up, verify_bound
@@ -18,7 +19,7 @@ from .io import FORMATS, parse_gains_table, parse_leaders_table, parse_snapshot,
 from .ranking import compare_systems, momentousness, rank_leaders
 from .simulation import StudyConfig, run_study
 
-_WARNINGS_SHOWN = 10  # exclusion warnings printed one per line; the rest are counted
+_WARNINGS_SHOWN = 10  # exclusion warnings printed one per line; the rest are counted, then all by reason
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -57,7 +58,10 @@ def _load_system(args: argparse.Namespace) -> DeltaSystem:
     for message in warnings[:_WARNINGS_SHOWN]:
         print(f"warning: {message}", file=sys.stderr)
     if len(warnings) > _WARNINGS_SHOWN:
-        print(f"warning: {len(warnings) - _WARNINGS_SHOWN} more entities excluded", file=sys.stderr)
+        counts = Counter(message.rpartition(": ")[2] for message in warnings)  # by reason
+        by_reason = ", ".join(f"{counts[reason]} {reason}" for reason in sorted(counts))
+        more = len(warnings) - _WARNINGS_SHOWN
+        print(f"warning: {more} more entities excluded; {len(warnings)} in all: {by_reason}", file=sys.stderr)
     return system
 
 

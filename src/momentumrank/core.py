@@ -293,23 +293,18 @@ def derive_from_snapshots(
 
     old_scores, new_scores = before.scores, after.scores
     ids = [eid for eid in old_scores if eid in new_scores]
-    excluded = []  # (id, reason)
-    if len(ids) < len(old_scores):
-        excluded += [(eid, "present only in the before snapshot") for eid in old_scores if eid not in new_scores]
-    if len(ids) < len(new_scores):
-        excluded += [(eid, "present only in the after snapshot") for eid in new_scores if eid not in old_scores]
     ids.sort()  # linear on sorted files; a fault is reported for the first id in this order
-    base, new = list(map(old_scores.__getitem__, ids)), list(map(new_scores.__getitem__, ids))
+    # (id, reason) pairs in set order: the warnings are sorted below
+    excluded = [(eid, "present only in the before snapshot") for eid in old_scores.keys() - new_scores.keys()]
+    excluded += [(eid, "present only in the after snapshot") for eid in new_scores.keys() - old_scores.keys()]
+    base = list(map(old_scores.__getitem__, ids))
+    if mode == "ratio":  # a zero base has no ratio: drop it before the after lookup and the subtraction
+        reason = "relative gain undefined (zero score before the window)"
+        excluded += zip(compress(ids, map(operator.not_, base)), repeat(reason))
+        ids, base = list(compress(ids, base)), list(filter(None, base))
+    new = list(map(new_scores.__getitem__, ids))
     gains = list(map(operator.sub, new, base))
     if mode == "ratio":
-        if 0 in base:
-            kept = [old != 0 for old in base]
-            excluded += [
-                (eid, "relative gain undefined (zero score before the window)")
-                for eid, keep in zip(ids, kept)
-                if not keep
-            ]
-            ids, base, gains = (list(compress(column, kept)) for column in (ids, base, gains))
         rel = list(map(operator.truediv, gains, base))
     else:
         shares = map(operator.truediv, new, repeat(after_total)), map(operator.truediv, base, repeat(before_total))

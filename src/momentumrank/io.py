@@ -68,7 +68,7 @@ def parse_snapshot(path) -> Snapshot:
     """Read a snapshot from CSV (header ``id,score``) or JSON."""
     text = _read_table(path)
     stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return _snapshot_from_json(stripped, path)
     header, columns, lines, faults = _split(text, width=2)
     if header is not None and [name.strip().lower() for name in header] != ["id", "score"]:
@@ -85,11 +85,16 @@ def parse_snapshot(path) -> Snapshot:
 def _snapshot_from_json(text: str, path) -> Snapshot:
     try:
         # objects become tuples of (key, value) pairs, so a repeated id stays visible
-        fields = dict(json.loads(text, object_pairs_hook=tuple))
+        document = json.loads(text, object_pairs_hook=tuple)
     except (ValueError, RecursionError) as exc:  # also an int past Python's digit limit, or deep nesting
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(document, tuple):  # an array, or a bare value
+        raise InputError(f"{path}: expected a JSON object")
+    fields = dict(document)
     scores = fields.get("scores")
-    if not isinstance(scores, tuple) or not scores:
+    if not isinstance(scores, tuple):  # missing, or not an object
+        raise InputError(f'{path}: "scores" must be an object of id: number pairs')
+    if not scores:
         raise InputError(f"{path}: no entities")
     ids, values = [], []
     for eid, value in scores:

@@ -164,12 +164,16 @@ def run_study(config: StudyConfig) -> StudyResult:
     allocates no fresh pages per trial; the calling thread is one of them.
     A worker claims one trial at a time, seeds its generator, fills its
     buffer, which numpy does without the GIL, and counts its leaders. A
-    buffer numpy cannot allocate is an InputError naming n. An exception in
-    any worker, or a KeyboardInterrupt, stops every worker before its next
-    trial and is raised here.
+    buffer numpy cannot allocate is an InputError naming n, and so is a
+    sizes array naming trials. An exception in any worker, or a
+    KeyboardInterrupt, stops every worker before its next trial and is
+    raised here.
     """
     trials = config.trials
-    sizes = [0] * trials
+    try:
+        sizes = np.zeros(trials, np.intp)
+    except (ValueError, OverflowError, MemoryError):  # numpy refuses the count, or the allocation fails
+        raise InputError(f"trials={trials} is too large: no memory for its sizes") from None
     claims = iter(range(trials))  # shared: each next() is one C call, atomic under the GIL
     stop = threading.Event()
     errors: list[BaseException] = []
@@ -204,6 +208,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             thread.join()
     if errors:
         raise errors[0]
+    sizes = sizes.tolist()
     denom = (math.log10(config.n) + 1) ** 2
     percentile_values = {p: int(nearest_rank_percentile(sizes, p)) for p in config.percentiles}
     return StudyResult(

@@ -218,6 +218,14 @@ def test_simulate_with_an_n_numpy_cannot_allocate_exits_2(capsys, monkeypatch):
     assert err == f"error: n={n} is too large: no memory for its (2, n) float64 buffer\n"
 
 
+def test_simulate_with_a_trial_count_numpy_cannot_allocate_exits_2(capsys):
+    # numpy refuses this many sizes before it allocates anything
+    trials = str(10**30)
+    code, out, err = run_cli(capsys, "simulate", "--n", "100", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert err == f"error: trials={trials} is too large: no memory for its sizes\n"
+
+
 def test_simulate_rejects_bad_percentiles(capsys):
     code, _, err = run_cli(capsys, "simulate", "--n", "100", "--percentiles", "95,max")
     assert code == 2
@@ -334,14 +342,18 @@ def test_snapshot_flow_warns_on_stderr_only(capsys, tmp_path):
 def test_snapshot_exclusion_warnings_collapse_after_ten(capsys, tmp_path):
     before = tmp_path / "before.csv"
     after = tmp_path / "after.csv"
-    before.write_text("id,score\nA,100\n" + "".join(f"gone{i:02d},5\n" for i in range(25)))
-    after.write_text("id,score\nA,110\n")
+    before.write_text("id,score\nA,100\nzero,0\n" + "".join(f"gone{i:02d},5\n" for i in range(25)))
+    after.write_text("id,score\nA,110\nzero,3\nnew,1\n")
     code, out, err = run_cli(capsys, "leaders", "--before", str(before), "--after", str(after))
     assert code == 0
     lines = err.splitlines()
     assert len(lines) == 11
     assert all("only in the before snapshot" in line for line in lines[:10])
-    assert lines[-1] == "warning: 15 more entities excluded"
+    # the last line counts every exclusion, shown or not, by reason in sorted order
+    assert lines[-1] == (
+        "warning: 17 more entities excluded; 27 in all: 1 present only in the after snapshot,"
+        " 25 present only in the before snapshot, 1 relative gain undefined (zero score before the window)"
+    )
 
 
 def test_share_delta_mode_flag(capsys, tmp_path):

@@ -355,6 +355,25 @@ class TestDeriveMatchesUnionWalk:
         assert len(got[1]) == (3 if mode == "ratio" else 2)  # x, y, and z with a zero score
         assert system_bits(got[0]) == system_bits(expected[0])
 
+    @pytest.mark.parametrize("mode", ["ratio", "share_delta"])
+    def test_twenty_thousand_ids_with_every_exclusion(self, mode):
+        # the drawn cases stay under 30 ids; this one has hundreds of each exclusion
+        n = 20_000
+        rng = np.random.default_rng(20_000)
+        ids = [f"e{i:05d}" for i in range(n)]
+        old, new = rng.lognormal(0.0, 2.0, (2, n)).tolist()
+        after_only, before_only, zero = np.split(rng.permutation(n)[:600], 3)
+        for i in zero.tolist():
+            old[i] = 0.0
+        in_before, in_after = np.ones((2, n), bool)
+        in_before[after_only], in_after[before_only] = False, False
+        before = Snapshot("t0", {ids[i]: old[i] for i in rng.permutation(np.flatnonzero(in_before)).tolist()})
+        after = Snapshot("t1", {ids[i]: new[i] for i in np.flatnonzero(in_after).tolist()})
+        got, expected = derive_from_snapshots(before, after, mode), naive_derive_from_snapshots(before, after, mode)
+        assert got[1] == expected[1]
+        assert len(got[1]) == (600 if mode == "ratio" else 400)
+        assert system_bits(got[0]) == system_bits(expected[0])
+
     @pytest.mark.parametrize("number", [float, Decimal], ids=["float", "Decimal"])
     def test_overflow_names_the_oracles_entity(self, number):
         # every r overflows; the ids sit in the files in reverse order

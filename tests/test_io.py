@@ -101,6 +101,23 @@ class TestParseSnapshot:
             with pytest.raises(InputError, match="invalid JSON"):
                 parse_snapshot(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "expected a JSON object"),  # read as JSON, not as a CSV header
+            ('{"scores": [1, 2]}', '"scores" must be an object of id: number pairs'),
+            ('{"A": 1, "B": 2}', '"scores" must be an object of id: number pairs'),
+            ('{"scores": {}}', "no entities"),
+        ],
+        ids=["top-level array", "scores array", "no scores", "empty scores"],
+    )
+    def test_json_shape_faults_are_named(self, tmp_path, text, message):
+        p = tmp_path / "snap.json"
+        p.write_text(text)
+        with pytest.raises(InputError) as excinfo:
+            parse_snapshot(p)
+        assert str(excinfo.value) == f"{p}: {message}"
+
     def test_duplicate_id_names_id_and_line(self, tmp_path):
         p = tmp_path / "snap.csv"
         p.write_text("id,score\nA,100\nA,50\n")

@@ -177,6 +177,7 @@ class TestRunStudy:
     def test_single_trial_pins_every_percentile(self):
         result = run_study(StudyConfig(n=500, trials=1, seed=2, percentiles=(5.0, 50.0, 95.0)))
         (size,) = result.sizes
+        assert type(size) is int  # the sizes array hands on Python ints, not numpy ones
         assert all(v == size for v in result.percentile_values.values())
 
     def test_percentiles_non_decreasing(self):
@@ -302,6 +303,16 @@ class TestRunStudy:
         monkeypatch.setattr(simulation.np, "empty", no_memory)
         with pytest.raises(InputError, match="^n=5000 is too large"):
             run_study(StudyConfig(n=5000, trials=3))
+
+    def test_sizes_that_cannot_be_allocated_are_an_input_error_naming_trials(self, monkeypatch):
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        monkeypatch.setattr(simulation.np, "zeros", no_memory)
+        threads = threading.active_count()
+        with pytest.raises(InputError, match="^trials=7 is too large: no memory for its sizes$"):
+            run_study(StudyConfig(n=100, trials=7))
+        assert threading.active_count() == threads
 
 
 class TestNearestRankPercentile:
