@@ -66,10 +66,9 @@ def _load_system(args: argparse.Namespace) -> DeltaSystem:
 
 
 def cmd_leaders(args: argparse.Namespace) -> int:
-    ds = _load_system(args)
     if args.layers < 1:
         raise InputError(f"--layers must be >= 1, got {args.layers}")
-    result = frontier_sortscan(ds)
+    result = frontier_sortscan(_load_system(args))
     layers = runners_up(result, args.layers) if args.layers > 1 else None
     print(write_report(result, args.format, layers=layers))
     return 0

@@ -47,15 +47,7 @@ class Snapshot:
     scores: dict[str, float]
 
     def __post_init__(self) -> None:
-        for eid, value in self.scores.items():
-            if value < 0:
-                raise InputError(f"negative score for {eid!r}: {value}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise InputError(f"non-finite score for {eid!r}: an int past the float range") from None
-            if not finite:
-                raise InputError(f"non-finite score for {eid!r}: {value}")
+        _check_columns(list(self.scores), {"score": list(self.scores.values())})
 
     @classmethod
     def _checked(cls, timestamp: str, scores: dict[str, float]) -> Snapshot:
@@ -192,7 +184,8 @@ def _check_columns(
 
     Within a record, ids must be non-blank, then unique; then each column's
     values must be non-negative (``score`` and ``w`` only) and finite, and
-    so must ``r * w`` where both columns are given.
+    so must ``r * w`` where both columns are given. Messages show each value
+    as given, and a number past the float range as +-inf.
     ``where`` holds the records' CSV line numbers or names their JSON file.
     ``found`` holds ``(record, message)`` faults a reader has already found,
     such as a cell that does not parse. Each precedes the rules of its own
@@ -208,10 +201,18 @@ def _check_columns(
         faults.append((i, 1, f"duplicate entity id {ids[i]!r}"))
     checks = []
     for name, column in columns.items():
-        column = np.asarray(column, dtype=np.float64)
+        try:
+            values = np.asarray(column, dtype=np.float64)
+        except (OverflowError, ValueError):  # a number past the float range, or a signalling NaN
+            column = list(map(_float_or_self, column))
+            values = np.asarray(column, dtype=np.float64)
         if name in ("score", "w"):
-            checks.append((f"negative {name}", column < 0, column))
-        checks.append((f"non-finite {name}", ~np.isfinite(column), column))
+            negative = values < 0
+            if not isinstance(column, np.ndarray):  # a value that rounds to 0.0 keeps its own sign
+                zeros = np.flatnonzero(values == 0).tolist()
+                negative[zeros] = [column[i] < 0 for i in zeros]
+            checks.append((f"negative {name}", negative, column))
+        checks.append((f"non-finite {name}", ~np.isfinite(values), column))
     if {"r", "w"} <= columns.keys():
         with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is the fault sought
             product = np.multiply(columns["r"], columns["w"], dtype=np.float64)
@@ -220,13 +221,24 @@ def _check_columns(
         hits = np.flatnonzero(bad)
         if hits.size:
             i = int(hits[0])
-            faults.append((i, precedence, f"{fault} for {ids[i]!r}: {float(column[i])}"))
+            faults.append((i, precedence, f"{fault} for {ids[i]!r}: {column[i]}"))
     if faults:
         i, precedence, message = min(faults)
         if precedence < 0:
             raise InputError(message)
         prefix = where if isinstance(where, str) else f"line {where[i]}"
         raise InputError(f"{prefix}: {message}" if prefix else message)
+
+
+def _float_or_self(value):
+    """``value`` if ``float`` takes it; else +-inf for a number past the float range, NaN for a signalling NaN."""
+    try:
+        float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    except ValueError:
+        return math.nan
+    return value
 
 
 def system_from_entities(entities: Sequence[EntityGain], window: str = "") -> DeltaSystem:

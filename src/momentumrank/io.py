@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DeltaSystem, InputError, Snapshot, _build, _check_columns
+from .core import DeltaSystem, InputError, Snapshot, _build, _check_columns, _float_or_self
 from .frontier import BoundCheck, FrontierResult, leader_rows
 from .ranking import LeaderRanking, MomentousnessScore, SystemComparison
 from .simulation import StudyResult
@@ -91,22 +91,20 @@ def _snapshot_from_json(text: str, path) -> Snapshot:
     if not isinstance(document, tuple):  # an array, or a bare value
         raise InputError(f"{path}: expected a JSON object")
     fields = dict(document)
-    scores = fields.get("scores")
+    scores, timestamp = fields.get("scores"), fields.get("timestamp")
     if not isinstance(scores, tuple):  # missing, or not an object
         raise InputError(f'{path}: "scores" must be an object of id: number pairs')
+    if not isinstance(timestamp, (str, type(None))):
+        raise InputError(f'{path}: "timestamp" must be a string')
     if not scores:
         raise InputError(f"{path}: no entities")
-    ids, values = [], []
     for eid, value in scores:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise InputError(f"{path}: score for {eid!r} is not a number")
-        try:
-            values.append(float(value))
-        except OverflowError:  # an int past the float range rounds to +-inf, as 1e999 does
-            values.append(math.inf if value > 0 else -math.inf)
-        ids.append(eid)
+    ids = [eid for eid, _ in scores]
+    values = np.array([_float_or_self(value) for _, value in scores], np.float64)  # an int past the range: +-inf
     _check_columns(ids, {"score": values}, str(path))
-    return Snapshot._checked(timestamp=str(fields.get("timestamp", "")), scores=dict(zip(ids, values)))
+    return Snapshot._checked(timestamp=timestamp or "", scores=dict(zip(ids, values.tolist())))
 
 
 def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:

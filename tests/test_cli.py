@@ -510,6 +510,37 @@ def test_json_snapshot_value_fault_names_file(capsys, tmp_path):
     assert (code, out, err) == (2, "", f"error: {before}: negative score for 'b': -3.0\n")
 
 
+@pytest.mark.parametrize(
+    "field, window",
+    [("", ""), (', "timestamp": null', ""), (', "timestamp": "t"', "t..t"), (', "timestamp": ""', "")],
+    ids=["absent", "null", "string", "empty string"],
+)
+def test_json_snapshot_timestamp(capsys, tmp_path, field, window):
+    before, after = tmp_path / "B.json", tmp_path / "A.json"
+    before.write_text('{"scores": {"a": 1, "b": 3}%s}' % field)
+    after.write_text('{"scores": {"a": 2, "b": 4}%s}' % field)
+    code, out, err = run_cli(capsys, "leaders", "--before", str(before), "--after", str(after), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["window"] == window
+
+
+@pytest.mark.parametrize("timestamp", ["[1, 2]", "5", "true", '{"at": "t"}'], ids=["array", "number", "bool", "object"])
+def test_json_snapshot_timestamp_that_is_no_string_exits_2(capsys, tmp_path, timestamp):
+    before, after = tmp_path / "B.json", tmp_path / "A.json"
+    before.write_text('{"timestamp": null, "scores": {"a": 1, "b": 3}}')
+    after.write_text('{"timestamp": %s, "scores": {"a": 2, "b": 4}}' % timestamp)
+    code, out, err = run_cli(capsys, "leaders", "--before", str(before), "--after", str(after))
+    assert (code, out, err) == (2, "", f'error: {after}: "timestamp" must be a string\n')
+
+
+@pytest.mark.parametrize("gains", ["does-not-exist.csv", "table2.csv"])
+def test_layers_flag_is_checked_before_any_input_is_read(capsys, monkeypatch, fixtures_dir, gains):
+    read = []
+    monkeypatch.setattr(cli, "parse_gains_table", lambda path: read.append(path) or parse_gains_table(path))
+    code, out, err = run_cli(capsys, "leaders", "--gains", str(fixtures_dir / gains), "--layers", "0")
+    assert (code, out, err, read) == (2, "", "error: --layers must be >= 1, got 0\n", [])
+
+
 # One fault injected into an otherwise valid input. CSV faults at a data row
 # name its line. A missing column is a header fault, a file that is not
 # UTF-8 cannot be read at all, and JSON has no lines: these name the file.

@@ -420,3 +420,26 @@ def test_snapshot_rejects_a_negative_score_that_rounds_to_zero():
 def test_snapshot_rejects_non_finite_scores(value):
     with pytest.raises(InputError, match="non-finite score for 'A'"):
         Snapshot("", {"A": value})
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (Decimal("NaN"), "non-finite score for 'B': NaN"),
+        (Decimal("sNaN"), "non-finite score for 'B': nan"),
+        (10**400, "non-finite score for 'B': inf"),
+        (-(10**400), "negative score for 'B': -inf"),
+        (Fraction(10**400, 3), "non-finite score for 'B': inf"),
+    ],
+    ids=["Decimal NaN", "Decimal sNaN", "10**400", "-10**400", "Fraction past the float range"],
+)
+def test_snapshot_reads_what_no_float_holds_as_non_finite(value, message):
+    with pytest.raises(InputError) as excinfo:
+        Snapshot("", {"A": 1.0, "B": value})
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("eid", ["", " \t"], ids=["empty", "blank"])
+def test_snapshot_rejects_a_blank_id(eid):
+    with pytest.raises(InputError, match="^empty entity id$"):
+        Snapshot("", {"A": 1.0, eid: 2.0})

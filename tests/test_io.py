@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momentumrank import core
@@ -22,16 +22,20 @@ from momentumrank import (
     parse_snapshot,
     rank_leaders,
     run_study,
+    runners_up,
     verify_bound,
     write_report,
 )
 
 from util import (
+    KERNEL_STYLES,
     _gains_from_rows,
     _leaders_from_rows,
     _snapshot_from_csv,
+    kernel_pairs,
     random_pairs,
     records_from_pairs,
+    rowwise_report,
     system_bits,
 )
 
@@ -708,3 +712,83 @@ class TestWriteReport:
     def test_unknown_result_rejected(self):
         with pytest.raises(InputError, match="no report writer"):
             write_report(object(), "json")
+
+
+# Raw ids, not CSV cells: the characters that CSV quoting, markdown escaping
+# and JSON escaping each treat specially, and text past ASCII.
+REPORT_ID = st.text(st.sampled_from('ab|",\r\n é€\U0001f600\\<'), min_size=1, max_size=5).filter(str.strip)
+# past 1e16 a float with no fraction is written by repr, below it as an int
+SCALES = (1.0, 0.1, 1e16, 3e17)
+
+
+@st.composite
+def report_systems(draw, min_size=0):
+    """A system of kernel-style gains at a drawn scale, with or without scores, under raw ids."""
+    ids = draw(st.lists(REPORT_ID, min_size=min_size, max_size=10, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = kernel_pairs(rng, len(ids), draw(st.sampled_from(KERNEL_STYLES)))
+    g, r = np.asarray(pairs) * draw(st.sampled_from(SCALES))
+    scores = None
+    if draw(st.booleans()):
+        scores = rng.integers(0, 4, len(ids)) * draw(st.sampled_from(SCALES))  # ties and zero scores
+    records = [(eid, *rec[1:]) for eid, rec in zip(ids, records_from_pairs(g, r, scores))]
+    return build_delta_system(records, draw(st.sampled_from(["", "t|0..t1"])))
+
+
+@st.composite
+def leader_rows_drawn(draw):
+    """(id, r, w) rows as a leader table gives them; possibly none."""
+    number = st.one_of(st.sampled_from([0.0, 2.0, 1e16, -3e17, 0.25]), st.floats(-1e20, 1e20, allow_nan=False))
+    ids = draw(st.lists(REPORT_ID, max_size=6, unique=True))
+    return [(eid, draw(number), draw(number.map(abs))) for eid in ids]
+
+
+REPORT_KINDS = (
+    "frontier",
+    "frontier with layers",
+    "ranking",
+    "momentousness of a system",
+    "momentousness of leader rows",
+    "comparison",
+    "study",
+    "bound",
+    "system",
+)
+
+
+@st.composite
+def report_results(draw, kind):
+    """One result of ``kind``, and the runner-up layers to report with it."""
+    if kind == "study":
+        percentile = st.floats(0, 100, exclude_min=True, exclude_max=True)
+        percentiles = tuple(draw(st.lists(percentile, min_size=1, max_size=3, unique=True)))
+        n, trials, seed = draw(st.integers(2, 40)), draw(st.integers(1, 6)), draw(st.integers(0, 99))
+        return run_study(StudyConfig(n=n, trials=trials, seed=seed, percentiles=percentiles)), None
+    if kind == "momentousness of leader rows":
+        return momentousness(draw(leader_rows_drawn())), None
+    if kind == "comparison":
+        return compare_systems(draw(leader_rows_drawn()), draw(leader_rows_drawn())), None
+    if kind == "system":
+        return draw(report_systems()), None
+    ds = draw(report_systems(min_size=1))
+    if kind == "bound":
+        return verify_bound(ds), None
+    frontier = frontier_sortscan(ds)
+    if kind == "frontier":
+        return frontier, None
+    if kind == "frontier with layers":
+        return frontier, runners_up(frontier, draw(st.integers(2, 4)))
+    assume(ds.has_scores and ds.total_score > 0)
+    return (rank_leaders(ds) if kind == "ranking" else momentousness(ds)), None
+
+
+class TestReportOracle:
+    """Every result type in every format, byte for byte against ``util.rowwise_report``."""
+
+    @pytest.mark.parametrize("kind", REPORT_KINDS)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_reports_equal_the_row_wise_writer(self, kind, data):
+        result, layers = data.draw(report_results(kind))
+        for fmt in ("csv", "markdown", "json"):
+            assert write_report(result, fmt, layers=layers) == rowwise_report(result, fmt, layers=layers)

@@ -246,6 +246,29 @@ class TestRunStudy:
         monkeypatch.setattr(simulation, "_cpu_count", lambda: workers)
         assert run_study(config).sizes == tuple(run_trial(config, i) for i in range(trials))
 
+    def test_sizes_do_not_depend_on_the_worker_count_under_contention(self, monkeypatch):
+        # 8 workers on a few CPUs, switching threads every microsecond: a lost claim on the shared
+        # trial iterator leaves a size at 0, and a doubled one seeds a trial twice
+        config = StudyConfig(n=500, trials=400, seed=31)
+        seeded = []
+        trial_rng = simulation._trial_rng
+        monkeypatch.setattr(simulation, "_trial_rng", lambda config, i: seeded.append(i) or trial_rng(config, i))
+        monkeypatch.setattr(simulation, "_cpu_count", lambda: 8)
+        threads = threading.active_count()
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            helper = threading.Thread(target=lambda: got.append(run_study(config).sizes), daemon=True)
+            helper.start()
+            helper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not helper.is_alive()
+        assert threading.active_count() == threads
+        assert sorted(seeded) == list(range(config.trials))
+        assert got == [tuple(run_trial(config, i) for i in range(config.trials))]
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_a_failing_trial_stops_every_worker(self, monkeypatch, workers):
         # the third count fails; every other worker stops before its next trial

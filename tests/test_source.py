@@ -1,4 +1,8 @@
-"""Source hygiene of the package: deletions leave no dead import, and no line runs past 120 characters."""
+"""Source hygiene of the package.
+
+Deletions leave no dead import, no line runs past 120 characters, and the
+record-rule messages are built only where the rules live.
+"""
 import ast
 from pathlib import Path
 
@@ -31,3 +35,27 @@ def test_every_import_is_used(path):
 def test_no_line_is_longer_than_the_limit(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [(number, len(line)) for number, line in enumerate(lines, start=1) if len(line) > MAX_LINE] == []
+
+
+RULE_MESSAGES = ("negative ", "non-finite ")
+
+
+def _rule_messages(tree: ast.AST) -> list[ast.Constant]:
+    """Each string, or text piece of an f-string, in ``tree`` that starts like a record-rule message."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith(RULE_MESSAGES)
+    ]
+
+
+def test_record_rule_messages_are_built_only_in_check_columns():
+    # core._check_columns is the one place the record rules live: a message of theirs built elsewhere is a second copy
+    core = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    home = next(node for node in core.body if isinstance(node, ast.FunctionDef) and node.name == "_check_columns")
+    allowed = set(map(id, _rule_messages(home)))
+    outside = []
+    for path in MODULES:
+        tree = core if path.name == "core.py" else ast.parse(path.read_text(encoding="utf-8"))
+        outside += [(path.name, node.lineno) for node in _rule_messages(tree) if id(node) not in allowed]
+    assert outside == []

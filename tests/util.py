@@ -7,13 +7,19 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from array import array
+from itertools import compress
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from momentumrank.core import DeltaSystem, InputError, Snapshot, _build, _check_columns
-from momentumrank.io import _read_table
+from momentumrank.frontier import BoundCheck, FrontierResult, leader_rows
+from momentumrank.io import FORMATS, _read_table
+from momentumrank.ranking import LeaderRanking, MomentousnessScore, SystemComparison
+from momentumrank.simulation import StudyResult
 
 
 def naive_leader_indices(pairs) -> list[int]:
@@ -416,3 +422,222 @@ def _leaders_from_rows(path) -> tuple[tuple[str, float, float], ...]:
     if not ids:
         raise InputError(f"{path}: no leader rows")
     return tuple(zip(ids, r, w))
+
+
+# --- the row-wise report writer ------------------------------------------------
+# The report layer as it stood before reports became tables of named columns,
+# kept unchanged but for its entry point's name: every format renders a header
+# and row tuples, one row at a time. It shares no formatting code with the
+# package, so the report differential test compares every byte with it.
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return str(int(value)) if value.is_integer() and abs(value) < 1e16 else repr(value)
+    return str(value)
+
+
+def _fmt_human(value) -> str:
+    # markdown is for people: trim float noise, keep csv/json at full precision
+    if isinstance(value, float) and not value.is_integer():
+        return f"{value:.6g}"
+    return _fmt(value)
+
+
+def _json_document(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _csv_document(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(cell) for cell in row])
+    return buf.getvalue().rstrip("\n")
+
+
+def _one_line(text: str) -> str:
+    # a quoted CSV id may hold a line break, which would split a markdown line
+    return text.replace("\r", "<br>").replace("\n", "<br>")
+
+
+def _markdown_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    def cell(value) -> str:
+        return _one_line(_fmt_human(value).replace("|", "\\|"))
+
+    lines = [
+        "| " + " | ".join(map(cell, header)) + " |",
+        "| " + " | ".join("---" for _ in header) + " |",
+    ]
+    lines += ["| " + " | ".join(map(cell, row)) + " |" for row in rows]
+    return "\n".join(lines)
+
+
+class _Report(NamedTuple):
+    """One result in all three formats.
+
+    ``payload()`` builds the JSON document, which only a JSON report
+    calls, and ``header`` with ``rows`` is the CSV table. ``markdown``
+    lists blocks, joined by a blank line; a block is text or a
+    ``(header, rows)`` table.
+    """
+
+    payload: Callable[[], object]
+    header: Sequence[str]
+    rows: Sequence[Sequence]
+    markdown: list
+
+
+def _frontier_report(result: FrontierResult, layers) -> _Report:
+    ds = result.system
+    header = ["id", "rank", "g", "r", "w", "interval", "|D(m)|"]
+    table = leader_rows(result)
+    at = result.positions
+    w = [None] * len(at) if table.w is None else table.w.tolist()
+    columns = at.tolist(), ds.g[at].tolist(), ds.r[at].tolist(), w, table.left.tolist(), table.right.tolist()
+    rows = [
+        [ds.ids[i], i + 1, g, r, w_m, f"{lo}..{hi}", count]
+        for i, g, r, w_m, lo, hi, count in zip(*columns, table.dominated.tolist())
+    ]
+
+    def payload() -> dict:
+        keys = ["id", "rank", "g", "r", "w", "interval", "dominated"]
+        leaders = [dict(zip(keys, row)) for row in rows]
+        doc = {"algorithm": result.algorithm, "window": ds.window, "n": ds.n, "leaders": leaders}
+        if layers is not None:
+            doc["layers"] = [list(layer) for layer in layers]
+        return doc
+
+    markdown = [(header, rows)]
+    if layers is None:
+        return _Report(payload, header, rows, markdown)
+    flat = [[1, *row] for row in rows]
+    # one scan finds the runner-ups, so no id index over all n is built
+    wanted = set().union(*layers[1:])
+    where = {ds.ids[i]: i for i in compress(range(ds.n), map(wanted.__contains__, ds.ids))}
+    trailer = []
+    for depth, layer in enumerate(layers[1:], start=2):
+        for leader_id in layer:
+            if leader_id not in where:
+                raise InputError(f"unknown entity id {leader_id!r}")
+            i = where[leader_id]
+            flat.append([depth, leader_id, i + 1, float(ds.g[i]), float(ds.r[i]), None, None, None])
+        trailer.append(f"Layer {depth}: {', '.join(map(_one_line, layer))}")
+    if trailer:
+        markdown.append("\n".join(trailer))
+    return _Report(payload, ["layer", *header], flat, markdown)
+
+
+def _ranking_report(ranking: LeaderRanking) -> _Report:
+    header = ["id", "w", "r"]
+    rows = ranking.entries
+    return _Report(lambda: {"leaders": [dict(zip(header, row)) for row in rows]}, header, rows, [(header, rows)])
+
+
+def _momentousness_report(score: MomentousnessScore) -> _Report:
+    header = ["id", "r", "w", "r*w"]
+    return _Report(
+        lambda: {"value": score.value, "terms": [dict(zip(header, term)) for term in score.terms]},
+        header,
+        [*score.terms, ("TOTAL", None, None, score.value)],
+        [(header, score.terms), f"momentousness: {_fmt_human(score.value)}"],
+    )
+
+
+def _comparison_report(comparison: SystemComparison) -> _Report:
+    a, b, verdict = comparison.a.value, comparison.b.value, comparison.verdict
+    if verdict == "equal":
+        line = f"equally momentous ({_fmt_human(a)} = {_fmt_human(b)})"
+    elif verdict == "a":
+        line = f"A more momentous ({_fmt_human(a)} > {_fmt_human(b)})"
+    else:
+        line = f"B more momentous ({_fmt_human(b)} > {_fmt_human(a)})"
+    return _Report(
+        lambda: {"a": a, "b": b, "verdict": verdict},
+        ["system", "momentousness"],
+        [["a", a], ["b", b], ["verdict", verdict]],
+        [f"momentousness A: {_fmt(a)}\nmomentousness B: {_fmt(b)}\n{line}"],
+    )
+
+
+def _study_report(result: StudyResult) -> _Report:
+    cfg = result.config
+    percentiles = {_fmt(float(p)): v for p, v in result.percentile_values.items()}
+    fitted = {_fmt(float(p)): c for p, c in result.fitted_c.items()}
+    bounds = {"1/3": result.bound_values[1 / 3], "1/2": result.bound_values[1 / 2]}
+    payload = {
+        "config": {
+            "n": cfg.n,
+            "trials": cfg.trials,
+            "seed": cfg.seed,
+            "percentiles": list(cfg.percentiles),
+        },
+        "percentiles": percentiles,
+        "bounds": bounds,
+        "fitted_c": fitted,
+    }
+    table = (["percentile", "size", "fitted c"], [[p, v, fitted[p]] for p, v in percentiles.items()])
+    bound_line = ", ".join(f"c={k}: {_fmt_human(v)}" for k, v in bounds.items())
+    return _Report(
+        lambda: payload,
+        ["trial", "size"],
+        [[i, s] for i, s in enumerate(result.sizes)],
+        [f"n={cfg.n} trials={cfg.trials} seed={cfg.seed}", table, f"bound c*(log10(n)+1)^2 -> {bound_line}"],
+    )
+
+
+def _bound_report(check: BoundCheck) -> _Report:
+    text = (
+        f"frontier size: {check.frontier_size}\n"
+        f"moving maxima: {check.moving_maxima_count}\n"
+        f"bound holds: {str(check.holds).lower()}"
+    )
+    return _Report(check._asdict, check._fields, [check], [text])
+
+
+def _system_report(ds: DeltaSystem) -> _Report:
+    scores = [None if math.isnan(s) else s for s in ds.score.tolist()]
+    columns = (ds.ids, scores, ds.g.tolist(), ds.r.tolist())
+
+    def payload() -> dict:
+        entities = [
+            {"id": eid, "rank": rank, "score": score, "g": g, "r": r}
+            for rank, (eid, score, g, r) in enumerate(zip(*columns), start=1)
+        ]
+        return {"window": ds.window, "total_score": ds.total_score, "has_scores": ds.has_scores, "entities": entities}
+
+    if any(s is not None for s in scores):
+        header, rows = ["id", "score", "g", "r"], list(zip(*columns))
+    else:
+        header, rows = ["id", "g", "r"], list(zip(ds.ids, *columns[2:]))
+    return _Report(payload, header, rows, [(header, rows)])
+
+
+def rowwise_report(result, fmt: str = "markdown", *, layers=None) -> str:
+    """Serialize any result deterministically in json, csv, or markdown."""
+    if fmt not in FORMATS:
+        raise InputError(f"format must be one of {FORMATS}, got {fmt!r}")
+    if isinstance(result, FrontierResult):
+        report = _frontier_report(result, layers)
+    elif isinstance(result, LeaderRanking):
+        report = _ranking_report(result)
+    elif isinstance(result, MomentousnessScore):
+        report = _momentousness_report(result)
+    elif isinstance(result, SystemComparison):
+        report = _comparison_report(result)
+    elif isinstance(result, StudyResult):
+        report = _study_report(result)
+    elif isinstance(result, BoundCheck):
+        report = _bound_report(result)
+    elif isinstance(result, DeltaSystem):
+        report = _system_report(result)
+    else:
+        raise InputError(f"no report writer for {type(result).__name__}")
+    if fmt == "json":
+        return _json_document(report.payload())
+    if fmt == "csv":
+        return _csv_document(report.header, report.rows)
+    return "\n\n".join(b if isinstance(b, str) else _markdown_table(*b) for b in report.markdown)
