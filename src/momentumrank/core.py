@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 from typing import Iterable, Sequence
@@ -289,21 +291,29 @@ def derive_from_snapshots(
     with a zero before-score are excluded since that ratio is undefined);
     ``share_delta`` mode sets ``r`` to the change in the entity's share of
     the snapshot total. The base score is always the before-window value.
+    A ``Decimal`` beside a float or a ``Fraction``, which ``Decimal``
+    arithmetic does not take, counts as the equal ``Fraction``.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
     if not before.scores or not after.scores:
         raise InputError("snapshots must be non-empty")
 
+    old_scores, new_scores = before.scores, after.scores
+    kinds = {*map(type, old_scores.values()), *map(type, new_scores.values())}
+    if any(issubclass(kind, Decimal) for kind in kinds) and not all(issubclass(kind, (Decimal, int)) for kind in kinds):
+        old_scores, new_scores = (
+            {eid: Fraction(v) if isinstance(v, Decimal) else v for eid, v in scores.items()}
+            for scores in (old_scores, new_scores)
+        )
     if mode == "share_delta":
-        before_total = sum(before.scores.values())
-        after_total = sum(after.scores.values())
+        before_total = sum(old_scores.values())
+        after_total = sum(new_scores.values())
         if before_total <= 0 or after_total <= 0:
             raise InputError("share_delta requires a positive total score in both snapshots")
         if before_total == math.inf or after_total == math.inf:
             raise InputError("share_delta requires a finite total score in both snapshots")
 
-    old_scores, new_scores = before.scores, after.scores
     ids = [eid for eid in old_scores if eid in new_scores]
     ids.sort()  # linear on sorted files; a fault is reported for the first id in this order
     # (id, reason) pairs in set order: the warnings are sorted below

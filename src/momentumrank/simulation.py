@@ -14,17 +14,10 @@ percentiles of the count grow like c * (log10(n) + 1)^2, but c is not a
 constant: the exact p95 is 16 at n = 20,000, so c is about 0.57 there, and
 it falls to 1/2 only near n = 100,000. Either way the frontier stays tiny
 even for hundreds of thousands of entities.
-
-``run_study`` runs its trials on one thread per CPU the process may use.
-Most of a trial is the fill of its uniforms, which numpy runs without the
-GIL, so the threads overlap; each trial draws from its own generator, so
-the sizes have the same bits on any number of threads.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -70,14 +63,6 @@ class StudyResult:
     fitted_c: dict[float, float] = field(compare=False)
 
 
-def _cpu_count() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _trial_rng(config: StudyConfig, trial_index: int) -> np.random.Generator:
     # derived per trial so trials can run in any order with identical results
     return np.random.default_rng(np.random.SeedSequence((config.seed, trial_index)))
@@ -86,14 +71,24 @@ def _trial_rng(config: StudyConfig, trial_index: int) -> np.random.Generator:
 def trial_gains(config: StudyConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The independent uniform (g, r) draws of one trial, as the two rows of one fresh buffer.
 
-    One ``random`` call fills both rows, as ``run_study`` fills its buffers:
-    PCG64 spends one 64-bit draw per double, so ``g`` and ``r`` are the first
-    and the next ``n`` draws, as from two ``random(n)`` calls. No strictly
-    increasing map can change a trial's leaders, so the uniforms count as
-    any continuous marginals would.
+    One ``random(out=buf)`` call fills both rows, as ``run_study`` fills its
+    buffer: PCG64 spends one 64-bit draw per double, so ``g`` and ``r`` are
+    the first and the next ``n`` draws, as from ``random((2, n))`` or two
+    ``random(n)`` calls. No strictly increasing map can change a trial's
+    leaders, so the uniforms count as any continuous marginals would.
     """
-    g, r = _trial_rng(config, trial_index).random((2, config.n))
+    buf = _buffer(config.n)
+    _trial_rng(config, trial_index).random(out=buf)
+    g, r = buf
     return g, r
+
+
+def _buffer(n: int) -> np.ndarray:
+    """An empty ``(2, n)`` float64 buffer for one trial's draws, or an InputError naming n."""
+    try:
+        return np.empty((2, n))
+    except (ValueError, MemoryError):  # numpy refuses the size, or the allocation fails
+        raise InputError(f"n={n} is too large: no memory for its (2, n) float64 buffer") from None
 
 
 def _leader_count(g: np.ndarray, r: np.ndarray) -> int:
@@ -145,59 +140,24 @@ def bound_estimate(n: int, c: float) -> float:
 
 
 def run_study(config: StudyConfig) -> StudyResult:
-    """Run every trial, on every CPU the process may use, and aggregate percentiles.
+    """Run every trial in order on the calling thread, and aggregate percentiles.
 
-    Each trial counts what ``run_trial`` counts, and the sizes are the same
-    bits whatever the number of workers or the order they run in: trial i
-    always draws from its own generator. ``_cpu_count()`` workers, capped at
-    ``trials``, each own one ``(2, n)`` buffer, so the sampling loop
-    allocates no fresh pages per trial; the calling thread is one of them.
-    A worker claims one trial at a time, seeds its generator, fills its
-    buffer, which numpy does without the GIL, and counts its leaders. A
-    buffer numpy cannot allocate is an InputError naming n, and so is a
-    sizes array naming trials. An exception in any worker, or a
-    KeyboardInterrupt, stops every worker before its next trial and is
-    raised here.
+    Each trial counts what ``run_trial`` counts: trial i always draws from
+    its own generator, so its size does not depend on the trials before it.
+    The loop fills one ``(2, n)`` buffer for every trial instead of a fresh
+    one per trial, so no trial faults in fresh pages. A sizes array numpy
+    cannot allocate is an InputError naming trials, and so is a buffer
+    naming n.
     """
-    trials = config.trials
     try:
-        sizes = np.zeros(trials, np.intp)
+        sizes = np.zeros(config.trials, np.intp)
     except (ValueError, OverflowError, MemoryError):  # numpy refuses the count, or the allocation fails
-        raise InputError(f"trials={trials} is too large: no memory for its sizes") from None
-    claims = iter(range(trials))  # shared: each next() is one C call, atomic under the GIL
-    stop = threading.Event()
-    errors: list[BaseException] = []
-
-    def work() -> None:
-        try:
-            try:
-                buf = np.empty((2, config.n))
-            except (ValueError, MemoryError):  # numpy refuses the size, or the allocation fails
-                raise InputError(f"n={config.n} is too large: no memory for its (2, n) float64 buffer") from None
-            g, r = buf
-            for i in claims:
-                if stop.is_set():
-                    return
-                _trial_rng(config, i).random(out=buf)
-                sizes[i] = _leader_count(g, r)
-        except BaseException as exc:
-            errors.append(exc)
-            stop.set()
-
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(min(_cpu_count(), trials) - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-        for thread in threads:
-            thread.join()
-    finally:
-        # after an error, or an interrupt of the calling thread, the workers stop before their next trial
-        stop.set()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+        raise InputError(f"trials={config.trials} is too large: no memory for its sizes") from None
+    buf = _buffer(config.n)
+    g, r = buf
+    for i in range(config.trials):
+        _trial_rng(config, i).random(out=buf)
+        sizes[i] = _leader_count(g, r)
     sizes = sizes.tolist()
     denom = (math.log10(config.n) + 1) ** 2
     percentile_values = {p: int(nearest_rank_percentile(sizes, p)) for p in config.percentiles}

@@ -21,7 +21,6 @@ from momentumrank import (
     frontier_bruteforce,
     frontier_sortscan,
     momentousness,
-    moving_maxima,
     parse_gains_table,
     parse_leaders_table,
     rank_leaders,

@@ -209,9 +209,8 @@ def test_simulate_rejects_invalid_n(capsys):
     assert "n must" in err
 
 
-def test_simulate_with_an_n_numpy_cannot_allocate_exits_2(capsys, monkeypatch):
+def test_simulate_with_an_n_numpy_cannot_allocate_exits_2(capsys):
     # numpy refuses this shape before it allocates anything
-    monkeypatch.setattr("momentumrank.simulation._cpu_count", lambda: 2)
     n = str(10**30)
     code, out, err = run_cli(capsys, "simulate", "--n", n, "--trials", "2")
     assert (code, out) == (2, "")

@@ -356,6 +356,19 @@ class TestDeriveMatchesUnionWalk:
         assert system_bits(got[0]) == system_bits(expected[0])
 
     @pytest.mark.parametrize("mode", ["ratio", "share_delta"])
+    @pytest.mark.parametrize("beside", [float, Fraction], ids=["float", "Fraction"])
+    def test_a_decimal_beside_other_numbers_counts_as_the_equal_fraction(self, beside, mode):
+        # Decimal arithmetic takes neither a float nor a Fraction
+        def diff(a):
+            before = Snapshot("t0", {"A": a, "B": beside(1), "Z": beside(0), "X": beside(4)})
+            after = Snapshot("t1", {"A": beside(3), "B": beside(2), "Z": beside(5), "Y": beside(1)})
+            return derive_from_snapshots(before, after, mode)
+
+        got, expected = diff(Decimal("2.5")), diff(Fraction(5, 2))
+        assert got[1] == expected[1]
+        assert system_bits(got[0]) == system_bits(expected[0])
+
+    @pytest.mark.parametrize("mode", ["ratio", "share_delta"])
     def test_twenty_thousand_ids_with_every_exclusion(self, mode):
         # the drawn cases stay under 30 ids; this one has hundreds of each exclusion
         n = 20_000

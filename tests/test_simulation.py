@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +126,20 @@ class TestTrialGains:
         g2, r2 = trial_gains(config, 0)
         assert not any(np.shares_memory(a, b) for a in (g1, r1) for b in (g2, r2))
 
+    @pytest.mark.parametrize("draw", [trial_gains, run_trial], ids=["trial_gains", "run_trial"])
+    def test_a_buffer_numpy_refuses_is_an_input_error_naming_n(self, draw):
+        with pytest.raises(InputError, match=f"^n={10**30} is too large: no memory for its \\(2, n\\) float64 buffer$"):
+            draw(StudyConfig(n=10**30, trials=1), 0)
+
+    @pytest.mark.parametrize("draw", [trial_gains, run_trial], ids=["trial_gains", "run_trial"])
+    def test_a_buffer_that_cannot_be_allocated_is_an_input_error_naming_n(self, monkeypatch, draw):
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        monkeypatch.setattr(simulation.np, "empty", no_memory)
+        with pytest.raises(InputError, match="^n=5000 is too large"):
+            draw(StudyConfig(n=5000, trials=1), 0)
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor-fault counts are Linux-specific")
     def test_study_loop_does_not_fault_in_fresh_pages(self):
         # Four fresh 160 KB arrays per trial cost about 125 minor faults a
@@ -239,90 +252,30 @@ class TestRunStudy:
         assert forward == list(reversed(backward))
         assert run_study(config).sizes == tuple(forward)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("trials", [1, 2, 40])
-    def test_sizes_do_not_depend_on_the_worker_count(self, monkeypatch, workers, trials):
-        config = StudyConfig(n=3000, trials=trials, seed=31)
-        monkeypatch.setattr(simulation, "_cpu_count", lambda: workers)
-        assert run_study(config).sizes == tuple(run_trial(config, i) for i in range(trials))
-
-    def test_sizes_do_not_depend_on_the_worker_count_under_contention(self, monkeypatch):
-        # 8 workers on a few CPUs, switching threads every microsecond: a lost claim on the shared
-        # trial iterator leaves a size at 0, and a doubled one seeds a trial twice
-        config = StudyConfig(n=500, trials=400, seed=31)
-        seeded = []
-        trial_rng = simulation._trial_rng
-        monkeypatch.setattr(simulation, "_trial_rng", lambda config, i: seeded.append(i) or trial_rng(config, i))
-        monkeypatch.setattr(simulation, "_cpu_count", lambda: 8)
-        threads = threading.active_count()
-        got = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            helper = threading.Thread(target=lambda: got.append(run_study(config).sizes), daemon=True)
-            helper.start()
-            helper.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not helper.is_alive()
-        assert threading.active_count() == threads
-        assert sorted(seeded) == list(range(config.trials))
-        assert got == [tuple(run_trial(config, i) for i in range(config.trials))]
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_a_failing_trial_stops_every_worker(self, monkeypatch, workers):
-        # the third count fails; every other worker stops before its next trial
+    def test_a_failing_trial_stops_the_study(self, monkeypatch):
+        # the third count fails: its error comes out, and no later trial is counted
         calls = []
-        lock = threading.Lock()
 
         def failing(g, r):
-            with lock:
-                calls.append(None)
-                if len(calls) == 3:
-                    raise RuntimeError("count failed")
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("count failed")
             return _leader_count(g, r)
 
-        monkeypatch.setattr(simulation, "_cpu_count", lambda: workers)
         monkeypatch.setattr(simulation, "_leader_count", failing)
-        threads = threading.active_count()
         with pytest.raises(RuntimeError, match="count failed"):
             run_study(StudyConfig(n=2000, trials=200, seed=3))
-        assert len(calls) <= 3 + workers - 1
-        assert threading.active_count() == threads
+        assert len(calls) == 3
 
-    def test_an_interrupt_on_the_calling_thread_stops_every_worker(self, monkeypatch):
-        calls = []
-        interrupted = threading.Event()
-
-        def count(g, r):
-            calls.append(None)
-            if threading.current_thread() is threading.main_thread():
-                interrupted.set()
-                raise KeyboardInterrupt
-            interrupted.wait(timeout=30)  # the worker's trial is in flight at the interrupt
-            return _leader_count(g, r)
-
-        monkeypatch.setattr(simulation, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(simulation, "_leader_count", count)
-        threads = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            run_study(StudyConfig(n=2000, trials=400, seed=3))
-        assert len(calls) <= 2
-        assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_buffer_numpy_refuses_is_an_input_error_naming_n(self, monkeypatch, workers):
-        monkeypatch.setattr(simulation, "_cpu_count", lambda: workers)
-        threads = threading.active_count()
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_a_buffer_numpy_refuses_is_an_input_error_naming_n(self, trials):
         with pytest.raises(InputError, match=f"^n={10**30} is too large"):
-            run_study(StudyConfig(n=10**30, trials=2))
-        assert threading.active_count() == threads
+            run_study(StudyConfig(n=10**30, trials=trials))
 
     def test_a_buffer_that_cannot_be_allocated_is_an_input_error_naming_n(self, monkeypatch):
         def no_memory(shape, *args, **kwargs):
             raise MemoryError(f"cannot allocate {shape}")
 
-        monkeypatch.setattr(simulation, "_cpu_count", lambda: 2)
         monkeypatch.setattr(simulation.np, "empty", no_memory)
         with pytest.raises(InputError, match="^n=5000 is too large"):
             run_study(StudyConfig(n=5000, trials=3))
@@ -332,10 +285,24 @@ class TestRunStudy:
             raise MemoryError(f"cannot allocate {shape}")
 
         monkeypatch.setattr(simulation.np, "zeros", no_memory)
-        threads = threading.active_count()
         with pytest.raises(InputError, match="^trials=7 is too large: no memory for its sizes$"):
             run_study(StudyConfig(n=100, trials=7))
-        assert threading.active_count() == threads
+
+    def test_every_trial_reuses_one_buffer(self, monkeypatch):
+        # the reuse is why the loop does not simply call run_trial, which fills a fresh buffer
+        shapes = []
+        empty = np.empty
+
+        def counted(shape, *args, **kwargs):
+            shapes.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(simulation.np, "empty", counted)
+        config = StudyConfig(n=3000, trials=40, seed=31)
+        sizes = run_study(config).sizes
+        monkeypatch.undo()
+        assert shapes.count((2, 3000)) == 1
+        assert sizes == tuple(run_trial(config, i) for i in range(config.trials))
 
 
 class TestNearestRankPercentile:

@@ -1,7 +1,8 @@
-"""Source hygiene of the package.
+"""Source hygiene of the package and its tests.
 
 Deletions leave no dead import, no line runs past 120 characters, and the
-record-rule messages are built only where the rules live.
+record-rule messages are built only where the rules live. ``bench/`` is not
+checked: its files change only with the benchmark.
 """
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "momentumrank"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))  # conftest.py and util.py too
 MAX_LINE = 120
 
 
@@ -23,7 +25,7 @@ def _imported_names(tree: ast.Module) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in MODULES + TESTS if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_every_import_is_used(path):
     # __init__.py imports to re-export, so it is not checked
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -31,7 +33,7 @@ def test_every_import_is_used(path):
     assert [name for name in _imported_names(tree) if name not in used] == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_line_is_longer_than_the_limit(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [(number, len(line)) for number, line in enumerate(lines, start=1) if len(line) > MAX_LINE] == []
