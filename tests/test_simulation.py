@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -252,20 +253,24 @@ class TestRunStudy:
         assert forward == list(reversed(backward))
         assert run_study(config).sizes == tuple(forward)
 
-    def test_a_failing_trial_stops_the_study(self, monkeypatch):
-        # the third count fails: its error comes out, and no later trial is counted
+    @pytest.mark.parametrize("failing_count", [1, 2, 3])
+    def test_a_failing_trial_stops_every_worker(self, monkeypatch, failing_count):
+        # the calling thread is the study's only worker: the failing count's
+        # error comes out, no later trial is counted, and no thread is left behind
         calls = []
 
         def failing(g, r):
             calls.append(None)
-            if len(calls) == 3:
+            if len(calls) == failing_count:
                 raise RuntimeError("count failed")
             return _leader_count(g, r)
 
         monkeypatch.setattr(simulation, "_leader_count", failing)
+        threads = threading.active_count()
         with pytest.raises(RuntimeError, match="count failed"):
             run_study(StudyConfig(n=2000, trials=200, seed=3))
-        assert len(calls) == 3
+        assert len(calls) == failing_count
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("trials", [1, 2])
     def test_a_buffer_numpy_refuses_is_an_input_error_naming_n(self, trials):
