@@ -198,9 +198,13 @@ def dominated_set(ds: DeltaSystem, entity_id: str) -> frozenset[str]:
 
 
 def interval(ds: DeltaSystem, entity_id: str) -> tuple[int, int]:
-    """Maximal contiguous rank range (L, R) around the entity lying in its D(m); O(n) per call."""
-    left, right = _intervals(ds, np.array([ds.index(entity_id)]))
-    return int(left[0]), int(right[0])
+    """Maximal contiguous rank range (L, R) around the entity lying in its D(m); O(n) per call.
+
+    Each end lies just inside the nearest entity outside ``_dominated_mask``, or at rank 1 or n.
+    """
+    outside = np.flatnonzero(np.concatenate(([True], ~_dominated_mask(ds, entity_id), [True]))) - 1
+    at = int(np.searchsorted(outside, ds.index(entity_id)))
+    return int(outside[at - 1]) + 2, int(outside[at + 1])
 
 
 def _has_weights(ds: DeltaSystem) -> bool:
@@ -218,7 +222,10 @@ def leader_rows(frontier: FrontierResult) -> LeaderTable:
     ``[lo_e, hi_e)``, found by two binary searches. A difference array over
     the ranges counts |D(m)|. For w, ``_range_fsums`` sums the normalized
     scores over them exactly in Python ints and rounds each sum once, so w
-    has the bits of ``math.fsum`` at any system size.
+    has the bits of ``math.fsum`` at any system size. The intervals come
+    from the same ranges: no leader dominates another, so an entity can lie
+    only in the run of the leader ranked next above or next below it, and
+    does iff that leader's staircase index k has ``lo_e <= k < hi_e``.
     """
     ds, positions = frontier.system, frontier.positions
     size = len(positions)
@@ -227,9 +234,14 @@ def leader_rows(frontier: FrontierResult) -> LeaderTable:
     hi = np.maximum(size - np.searchsorted(ds.g[stair][::-1], ds.g, side="right"), lo)
     dominated = np.cumsum(np.bincount(lo, minlength=size + 1) - np.bincount(hi, minlength=size + 1))[:size]
     w = _range_fsums(ds.score / ds.total_score, lo, hi, size) if _has_weights(ds) else None
-    del lo, hi  # two columns of n, freed before the interval search
-    rank_order = np.argsort(stair)  # staircase order to rank order
-    left, right = _intervals(ds, positions)
+    rank_order = np.argsort(stair)  # each leader's staircase index, in rank order
+    # per entity, the staircase index of the leader ranked next above it and next below it, or size
+    above = np.repeat(np.append(size, rank_order), np.diff(positions, prepend=0, append=ds.n))
+    below = np.repeat(np.append(rank_order, size), np.diff(positions + 1, prepend=0, append=ds.n))
+    after = np.flatnonzero(~((lo <= above) & (above < hi)))  # outside the run of the leader above
+    before = np.flatnonzero(~((lo <= below) & (below < hi)))  # outside the run of the leader below
+    right = np.append(after, ds.n)[np.searchsorted(after, positions, side="right")]
+    left = np.append(-1, before)[np.searchsorted(before, positions)] + 2
     return LeaderTable(None if w is None else w[rank_order], left, right, dominated[rank_order])
 
 
@@ -254,43 +266,6 @@ def _range_fsums(terms: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -
     np.subtract.at(diff, hi[keep], ints)
     scale = 1 << -base
     return np.array([total / scale for total in np.cumsum(diff[:size]).tolist()])
-
-
-def _intervals(ds: DeltaSystem, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusive 1-based rank range (L, R) around each position whose other members it dominates.
-
-    m does not dominate e exactly when g_e >= g_m or r_e >= r_m. The range
-    ends just inside the nearest such entity on each side.
-    """
-    left = _previous_undominated(ds.g, ds.r, positions)
-    right = ds.n - 1 - _previous_undominated(ds.g[::-1], ds.r[::-1], ds.n - 1 - positions)
-    return left + 2, right
-
-
-def _previous_undominated(g: np.ndarray, r: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Per position p, the largest q < p with g[q] >= g[p] or r[q] >= r[p], or -1 if there is none.
-
-    The positions below p are tested in windows of 1, 1, 2, 4, ... until
-    such a q turns up, so a search that passes d positions p dominates
-    tests fewer than 2 * (d + 1). No leader dominates another, so the runs
-    that the leaders dominate below them are disjoint, and one call over
-    every leader tests O(n) positions in all, at most n in one pass.
-    """
-    gp, rp = g[positions], r[positions]
-    found = np.full(len(positions), -1)
-    todo = np.arange(len(positions))
-    below = positions - 1  # the highest position not yet tested
-    width = covered = 1
-    while todo.size:
-        q = below[todo, None] - np.arange(width)
-        at = np.maximum(q, 0)
-        hit = (q >= 0) & ((g[at] >= gp[todo, None]) | (r[at] >= rp[todo, None]))
-        done = hit.any(axis=1)
-        found[todo[done]] = q[done, hit[done].argmax(axis=1)]
-        below[todo] -= width
-        todo = todo[~done & (below[todo] >= 0)]
-        width, covered = covered, covered * 2
-    return found
 
 
 def moving_maxima(values: Sequence[float]) -> MovingMaxima:

@@ -13,7 +13,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .core import DeltaSystem, InputError, _check_columns
+from .core import DeltaSystem, InputError, _check_columns, _rank_order
 from .frontier import _has_weights, frontier_sortscan, leader_rows
 
 
@@ -84,9 +84,7 @@ def _weighted_leaders(ds: DeltaSystem) -> tuple[tuple[str, ...], np.ndarray, np.
 
 def rank_leaders(ds: DeltaSystem) -> LeaderRanking:
     ids, w, r = _weighted_leaders(ds)
-    # stable sorts: by id, then by r descending, then by w descending
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    order = by_id[np.lexsort((-r[by_id], -w[by_id]))]
+    order = _rank_order(ids, w, r)
     ranked = map(ids.__getitem__, order.tolist())
     return LeaderRanking(entries=tuple(zip(ranked, w[order].tolist(), r[order].tolist())))
 

@@ -279,6 +279,26 @@ def test_closed_stdout_ends_the_process_silently():
     assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
+def test_float_snapshots_leave_decimal_and_fractions_unimported(tmp_path):
+    # each adds milliseconds to every start, and only exact-number scores need them
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    before.write_text("id,score\nA,100\nB,50\nC,20\n")
+    after.write_text("id,score\nA,110\nB,70\nC,21\n")
+    script = (
+        "import sys\n"
+        "import momentumrank\n"
+        "from momentumrank.cli import main\n"
+        "loaded = [sorted(sys.modules.keys() & {'decimal', 'fractions'})]\n"
+        f"code = main(['rank', '--before', {str(before)!r}, '--after', {str(after)!r}])\n"
+        "loaded.append(sorted(sys.modules.keys() & {'decimal', 'fractions'}))\n"
+        "print(code, loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 [[], []]"
+    assert out.stderr == ""
+
+
 def test_quoted_crlf_id_reads_alike_from_gains_and_snapshots(capsys, tmp_path):
     gains, before, after = (tmp_path / name for name in ("gains.csv", "before.csv", "after.csv"))
     gains.write_bytes(b'id,g,r\r\n"a\r\nb",1,0.1\r\nc,0.5,0.05\r\n')

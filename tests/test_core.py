@@ -118,6 +118,12 @@ class TestBuildDeltaSystem:
         with pytest.raises(InputError, match="unknown entity id 'z'"):
             ds.by_id("z")
 
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_rank_out_of_range_rejected(self, rank):
+        ds = build_delta_system([("b", 5.0, 1.0, 0.1), ("a", 9.0, 2.0, -0.2)])
+        with pytest.raises(InputError, match=rf"^rank {rank} out of range 1\.\.2$"):
+            ds.by_rank(rank)
+
     def test_total_score_matches_sum(self):
         rng = np.random.default_rng(3)
         scores = rng.random(50) * 1e6

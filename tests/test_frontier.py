@@ -123,6 +123,13 @@ class TestFrontier:
                 covered |= dominated_set(ds, m)
             assert covered == {e.id for e in ds.entities}
 
+    def test_results_compare_by_system_leaders_and_algorithm(self, table2):
+        first, second = frontier_sortscan(table2), frontier_sortscan(table2)
+        assert first is not second and first == second and hash(first) == hash(second)
+        brute = frontier_bruteforce(table2)
+        assert brute.leaders == first.leaders and brute != first
+        assert first.__eq__(table2.ids) is NotImplemented
+
     def test_leaders_pairwise_incomparable(self):
         from momentumrank import dominates
 
@@ -266,6 +273,35 @@ def test_leader_rows_sum_long_overlapping_ranges():
     result = frontier_sortscan(ds)
     assert len(result.positions) == 300 and leader_rows(result).dominated.max() > 2000
     assert batch_rows(ds) == oracle_rows(ds, frontier_sortscan(ds).leaders)
+
+
+# (g, r) in rank order, and the interval of each leader in rank order
+EDGE_INTERVALS = {
+    "leaders at rank 1 and rank n": (
+        [(10, 1), (8, 0.5), (4, 4), (3, 3), (0.5, 9), (1, 10)],
+        [(1, 2), (3, 4), (5, 6)],
+    ),
+    "entities before the first leader and after the last": (
+        [(1, 8), (0.5, 0.5), (9, 2), (8, 1), (2, 9), (0.1, 0.1), (1.5, 8.5), (8.5, 1.5)],
+        [(2, 4), (5, 7)],
+    ),
+    # (5, 1) ties the g of the leader (5, 5) and (3, 5) its r: both lie outside its interval
+    "neighbours that tie a leader's g or r": (
+        [(8, 2), (5, 1), (5, 5), (3, 5), (4, 6), (1, 0.5)],
+        [(1, 2), (3, 3), (4, 6)],
+    ),
+    "one leader among four": ([(1, 1), (3, 3), (2, 2), (0, 0)], [(1, 4)]),
+    "one entity": ([(1, 1)], [(1, 1)]),
+}
+
+
+@pytest.mark.parametrize("pairs, expected", EDGE_INTERVALS.values(), ids=EDGE_INTERVALS)
+def test_leader_intervals_match_the_per_leader_oracle_at_the_edges(pairs, expected):
+    ds = build_delta_system([(f"e{i}", float(g), float(r)) for i, (g, r) in enumerate(pairs)])
+    result = frontier_sortscan(ds)
+    table = leader_rows(result)
+    intervals = list(zip(table.left.tolist(), table.right.tolist()))
+    assert intervals == [leader_row(ds, m)[1] for m in result.leaders] == expected
 
 
 class TestLeaderMask:

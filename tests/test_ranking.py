@@ -38,6 +38,10 @@ class TestNormalizedWeights:
         assert all(w == pytest.approx(1 / n) for w in normalized_weights(ds).values())
         assert math.fsum(normalized_weights(ds).values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_empty_system_rejected(self):
+        with pytest.raises(InputError, match="^weights require a non-empty system$"):
+            normalized_weights(build_delta_system([]))
+
     def test_missing_scores_rejected(self, table2):
         with pytest.raises(InputError, match="scores"):
             normalized_weights(table2)

@@ -323,6 +323,11 @@ class TestNearestRankPercentile:
         with pytest.raises(InputError):
             nearest_rank_percentile([], 95)
 
+    @pytest.mark.parametrize("p", [0, 100])
+    def test_percentile_outside_the_open_range_rejected(self, p):
+        with pytest.raises(InputError, match=rf"^percentiles must lie in \(0, 100\), got {p}$"):
+            nearest_rank_percentile([1.0, 2.0], p)
+
 
 class TestBoundEstimate:
     def test_pins_log_base_ten(self):

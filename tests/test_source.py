@@ -1,8 +1,9 @@
 """Source hygiene of the package and its tests.
 
-Deletions leave no dead import, no line runs past 120 characters, and the
-record-rule messages are built only where the rules live. ``bench/`` is not
-checked: its files change only with the benchmark.
+Deletions leave no dead import and no orphaned private helper, no line runs
+past 120 characters, and the record-rule messages are built only where the
+rules live. ``bench/`` is not checked: its files change only with the
+benchmark.
 """
 import ast
 from pathlib import Path
@@ -31,6 +32,31 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Names the module body binds that start with one underscore, as defs, classes or assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a helper that only tests still reach is dead code the package carries
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    defined = [(path.name, name) for path, tree in zip(MODULES, trees) for name in _private_definitions(tree)]
+    assert [(module, name) for module, name in defined if name not in read] == []
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
