@@ -13,7 +13,7 @@ import signal
 import sys
 from collections import Counter
 
-from .core import DeltaSystem, InputError, derive_from_snapshots
+from .core import MODES, DeltaSystem, InputError, derive_from_snapshots
 from .frontier import frontier_sortscan, runners_up, verify_bound
 from .io import FORMATS, parse_gains_table, parse_leaders_table, parse_snapshot, write_report
 from .ranking import compare_systems, momentousness, rank_leaders
@@ -28,7 +28,7 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--after", metavar="PATH", help="snapshot at the window end")
     sub.add_argument(
         "--mode",
-        choices=("ratio", "share-delta"),
+        choices=[mode.replace("_", "-") for mode in MODES],
         default="ratio",
         help="how to derive relative gain from snapshots (default: ratio)",
     )

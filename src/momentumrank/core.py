@@ -12,6 +12,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
+from numbers import Number
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -155,7 +156,7 @@ def _build(
     string order); otherwise the given order is kept. ``where`` and
     ``found`` are as in ``_check_columns``.
     """
-    score_col, g_col, r_col = (np.asarray(c, dtype=np.float64) for c in (score, g, r))  # None reads as NaN
+    score_col, g_col, r_col = (_float64(c)[0] for c in (score, g, r))  # None reads as NaN
     missing = np.isnan(score_col) if isinstance(score, np.ndarray) else np.array([s is None for s in score], bool)
     _check_columns(ids, {"score": np.where(missing, 0.0, score_col), "g": g_col, "r": r_col}, where, found)
     has_scores = bool(ids) and not missing.any()
@@ -184,13 +185,14 @@ def _rank_order(ids: Sequence[str], *keys: np.ndarray) -> np.ndarray:
 
 def _check_columns(
     ids: Sequence[str], columns: dict[str, Sequence[float]], where: Sequence[int] | str = "", found: Sequence = ()
-) -> None:
-    """Raise the error of the first faulty record: the one place the record rules live.
+) -> tuple[np.ndarray, ...]:
+    """Raise the error of the first faulty record, or return the columns as float64: the one home of the record rules.
 
     Within a record, ids must be non-blank, then unique; then each column's
     values must be non-negative (``score`` and ``w`` only) and finite, and
-    so must ``r * w`` where both columns are given. Messages show each value
-    as given, and a number past the float range as +-inf.
+    so must ``r * w`` where both columns are given. Each column is read by
+    ``_float64``, so messages show each value as given, a number past the
+    float range as +-inf, and a value ``float`` refuses as NaN.
     ``where`` holds the records' CSV line numbers or names their JSON file.
     ``found`` holds ``(record, message)`` faults a reader has already found,
     such as a cell that does not parse. Each precedes the rules of its own
@@ -204,23 +206,20 @@ def _check_columns(
         seen: set[str] = set()
         i = next(i for i, eid in enumerate(ids) if eid in seen or seen.add(eid))  # add() returns None
         faults.append((i, 1, f"duplicate entity id {ids[i]!r}"))
-    checks = []
+    checks, readings = [], {}
     for name, column in columns.items():
-        try:
-            values = np.asarray(column, dtype=np.float64)
-        except (OverflowError, ValueError):  # a number past the float range, or a signalling NaN
-            column = list(map(_float_or_self, column))
-            values = np.asarray(column, dtype=np.float64)
+        values, column = _float64(column)
+        readings[name] = values
         if name in ("score", "w"):
             negative = values < 0
-            if not isinstance(column, np.ndarray):  # a value that rounds to 0.0 keeps its own sign
+            if not isinstance(column, np.ndarray):  # a number that rounds to 0.0 keeps its own sign; a word has none
                 zeros = np.flatnonzero(values == 0).tolist()
-                negative[zeros] = [column[i] < 0 for i in zeros]
+                negative[zeros] = [isinstance(v, Number) and v < 0 for v in map(column.__getitem__, zeros)]
             checks.append((f"negative {name}", negative, column))
         checks.append((f"non-finite {name}", ~np.isfinite(values), column))
-    if {"r", "w"} <= columns.keys():
+    if {"r", "w"} <= readings.keys():
         with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is the fault sought
-            product = np.multiply(columns["r"], columns["w"], dtype=np.float64)
+            product = readings["r"] * readings["w"]
         checks.append(("non-finite r*w", ~np.isfinite(product), product))
     for precedence, (fault, bad, column) in enumerate(checks, start=2):
         hits = np.flatnonzero(bad)
@@ -233,21 +232,38 @@ def _check_columns(
             raise InputError(message)
         prefix = where if isinstance(where, str) else f"line {where[i]}"
         raise InputError(f"{prefix}: {message}" if prefix else message)
+    return tuple(readings.values())
+
+
+def _float64(column: Sequence) -> tuple[np.ndarray, Sequence]:
+    """``column`` as 1-D float64, and its values for messages: each as given, or as ``_float_or_self`` reads it."""
+    try:
+        values = np.asarray(column, dtype=np.float64)
+        if values.ndim == 1:  # not a column with a sequence in it
+            return values, column
+    except (OverflowError, TypeError, ValueError):  # a number past the float range, a signalling NaN, a word, None
+        pass
+    column = list(map(_float_or_self, column))
+    return np.asarray(column, dtype=np.float64), column
 
 
 def _float_or_self(value):
-    """``value`` if ``float`` takes it; else +-inf for a number past the float range, NaN for a signalling NaN."""
+    """``value`` if ``float`` takes it; else +-inf for a number past the float range, and NaN for any other value."""
     try:
         float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
-    except ValueError:
+    except (TypeError, ValueError):
         return math.nan
     return value
 
 
 def system_from_entities(entities: Sequence[EntityGain], window: str = "") -> DeltaSystem:
-    """Re-rank ``entities`` 1..N in the given order and wrap them in a system."""
+    """Re-rank ``entities`` 1..N in the given order and wrap them in a system.
+
+    Each number is read as ``_check_columns`` reads it, so one past the float
+    range is +-inf, and a fault raises the rule's InputError.
+    """
     return _build(
         [e.id for e in entities],
         [e.score for e in entities],
@@ -265,22 +281,19 @@ def build_delta_system(
 
     When every record carries a score, entities are ranked by descending
     score with ties broken by ascending id; otherwise the input order is
-    preserved and ranks are assigned by position.
+    preserved and ranks are assigned by position. Each number is read as
+    ``_check_columns`` reads it, so one past the float range is +-inf, and
+    a fault raises the rule's InputError.
     """
     ids, score, g, r = [], [], [], []
     for rec in records:
-        if len(rec) == 3:
-            eid, g_value, r_value = rec
-            score_value = None
-        elif len(rec) == 4:
-            eid, score_value, g_value, r_value = rec
-        else:
+        if len(rec) not in (3, 4):
             _build(ids, score, g, r)  # a fault in an earlier record is reported first
             raise InputError(f"record must be (id, score, g, r) or (id, g, r), got {rec!r}")
-        ids.append(str(eid))
-        score.append(None if score_value is None else float(score_value))
-        g.append(float(g_value))
-        r.append(float(r_value))
+        ids.append(str(rec[0]))
+        score.append(rec[1] if len(rec) == 4 else None)
+        g.append(rec[-2])
+        r.append(rec[-1])
     return _build(ids, score, g, r, window)
 
 
@@ -334,7 +347,10 @@ def derive_from_snapshots(
     new = list(map(new_scores.__getitem__, ids))
     gains = list(map(operator.sub, new, base))
     if mode == "ratio":
-        rel = list(map(operator.truediv, gains, base))
+        try:
+            rel = list(map(operator.truediv, gains, base))
+        except ZeroDivisionError:  # a float over a Fraction base that reads as 0.0: take that ratio exactly
+            rel = [gain / b if float(b) else (Fraction(a) - b) / b for gain, a, b in zip(gains, new, base)]
     else:
         shares = map(operator.truediv, new, repeat(after_total)), map(operator.truediv, base, repeat(before_total))
         rel = list(map(operator.sub, *shares))

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DeltaSystem, InputError, Snapshot, _build, _check_columns, _float_or_self
+from .core import DeltaSystem, InputError, Snapshot, _build, _check_columns, _float64
 from .frontier import BoundCheck, FrontierResult, leader_rows
 from .ranking import LeaderRanking, MomentousnessScore, SystemComparison
 from .simulation import StudyResult
@@ -102,7 +102,7 @@ def _snapshot_from_json(text: str, path) -> Snapshot:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise InputError(f"{path}: score for {eid!r} is not a number")
     ids = [eid for eid, _ in scores]
-    values = np.array([_float_or_self(value) for _, value in scores], np.float64)  # an int past the range: +-inf
+    values = _float64([value for _, value in scores])[0]  # an int past the float range reads as +-inf
     _check_columns(ids, {"score": values}, str(path))
     return Snapshot._checked(timestamp=timestamp or "", scores=dict(zip(ids, values.tolist())))
 

@@ -95,11 +95,8 @@ def momentousness(source: SystemOrLeaders) -> MomentousnessScore:
     Negative-r leaders contribute negative terms, so the value itself can
     be negative.
     """
-    if isinstance(source, DeltaSystem):
-        ids, w, r = _weighted_leaders(source)
-        terms = tuple(zip(ids, r.tolist(), w.tolist(), (r * w).tolist()))
-    else:
-        terms = _leader_terms(source)
+    ids, w, r = _weighted_leaders(source) if isinstance(source, DeltaSystem) else _row_leaders(source)
+    terms = tuple(zip(ids, r.tolist(), w.tolist(), (r * w).tolist()))
     return MomentousnessScore(value=_sum([t[3] for t in terms]), terms=terms)
 
 
@@ -116,23 +113,18 @@ def _sum(values: list[float]) -> float:
             raise InputError("momentousness is past the float range: |sum of r*w| > 1.8e308") from None
 
 
-def _leader_terms(rows: LeaderRows) -> tuple[tuple[str, float, float, float], ...]:
-    """(id, r, w, r*w) per leader row; the rows obey the record rules of a leader table."""
+def _row_leaders(rows: LeaderRows) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The ids, w and r of leader rows, in row order; the rows obey the record rules of a leader table."""
     ids, r, w = [], [], []
     for index, row in enumerate(rows):
-        if len(row) == 3:
-            leader_id, r_value, w_value = row
-        elif len(row) == 2:
-            r_value, w_value = row
-            leader_id = str(index + 1)
-        else:
+        if len(row) not in (2, 3):
             _check_columns(ids, {"r": r, "w": w})  # a fault in an earlier row is reported first
             raise InputError(f"leader row must be (id, r, w) or (r, w), got {row!r}")
-        ids.append(str(leader_id))
-        r.append(float(r_value))
-        w.append(float(w_value))
-    _check_columns(ids, {"r": r, "w": w})
-    return tuple((leader_id, r_value, w_value, r_value * w_value) for leader_id, r_value, w_value in zip(ids, r, w))
+        ids.append(str(row[0] if len(row) == 3 else index + 1))
+        r.append(row[-2])
+        w.append(row[-1])
+    r, w = _check_columns(ids, {"r": r, "w": w})
+    return ids, w, r
 
 
 def compare_systems(a: SystemOrLeaders, b: SystemOrLeaders) -> SystemComparison:

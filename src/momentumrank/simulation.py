@@ -18,6 +18,7 @@ even for hundreds of thousands of entities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,6 +40,8 @@ class StudyConfig:
     percentiles: tuple[float, ...] = (95.0, 99.0)
 
     def __post_init__(self) -> None:
+        for name in ("n", "trials", "seed"):
+            _index(getattr(self, name), name)
         if self.n < 2:
             raise InputError(f"n must be >= 2, got {self.n}")
         if self.trials < 1:
@@ -63,6 +66,14 @@ class StudyResult:
     fitted_c: dict[float, float] = field(compare=False)
 
 
+def _index(value, name: str) -> int:
+    """``value`` as ``operator.index`` reads it, or an InputError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _trial_rng(config: StudyConfig, trial_index: int) -> np.random.Generator:
     # derived per trial so trials can run in any order with identical results
     return np.random.default_rng(np.random.SeedSequence((config.seed, trial_index)))
@@ -77,6 +88,8 @@ def trial_gains(config: StudyConfig, trial_index: int) -> tuple[np.ndarray, np.n
     ``random(n)`` calls. No strictly increasing map can change a trial's
     leaders, so the uniforms count as any continuous marginals would.
     """
+    if _index(trial_index, "trial index") < 0:
+        raise InputError(f"trial index must be >= 0, got {trial_index}")
     buf = _buffer(config.n)
     _trial_rng(config, trial_index).random(out=buf)
     g, r = buf
@@ -132,9 +145,9 @@ def nearest_rank_percentile(values: Sequence[float], p: float) -> float:
 
 def bound_estimate(n: int, c: float) -> float:
     """c * (log10(n) + 1)^2, the empirical frontier-size ceiling."""
-    if n < 1:
+    if not 1 <= n < math.inf:
         raise InputError(f"n must be >= 1, got {n}")
-    if c <= 0:
+    if not 0 < c < math.inf:
         raise InputError(f"c must be > 0, got {c}")
     return c * (math.log10(n) + 1) ** 2
 

@@ -15,6 +15,7 @@ from momentumrank import (
     derive_from_snapshots,
     dominates,
     frontier_sortscan,
+    system_from_entities,
 )
 
 from util import STYLES, naive_derive_from_snapshots, naive_system, random_pairs, records_from_pairs, system_bits
@@ -99,12 +100,26 @@ class TestBuildDeltaSystem:
             build_delta_system(records)
 
     @pytest.mark.parametrize("field", [1, 2, 3])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value",
+        [
+            math.nan,
+            math.inf,
+            -math.inf,
+            # what no float holds reads as +-inf, and what float() refuses as NaN, as in a Snapshot
+            pytest.param(10**400, id="10**400"),
+            pytest.param(-(10**400), id="-10**400"),
+            pytest.param(Fraction(10**400, 3), id="Fraction past the float range"),
+            pytest.param(Decimal("sNaN"), id="Decimal sNaN"),
+            pytest.param("x", id="word"),
+            pytest.param([1.0, 2.0], id="sequence"),
+        ],
+    )
     def test_non_finite_values_rejected(self, field, value):
         record = ["x", 1.0, 2.0, 0.5]
         record[field] = value
-        expected = "negative score" if (field, value) == (1, -math.inf) else "non-finite"
-        with pytest.raises(InputError, match=expected):
+        expected = "negative" if field == 1 and str(value).startswith("-") else "non-finite"
+        with pytest.raises(InputError, match=f"^{expected} {('score', 'g', 'r')[field - 1]} for 'x': "):
             build_delta_system([tuple(record)])
 
     def test_columns_are_read_only_in_rank_order(self):
@@ -404,6 +419,38 @@ class TestDeriveMatchesUnionWalk:
         assert got == "non-finite r for 'b': inf"
 
 
+@pytest.mark.parametrize("beside", [Fraction, float], ids=["Fraction", "float"])
+def test_a_ratio_past_the_float_range_over_a_fraction_base_is_non_finite(beside):
+    # the base is not zero, but reads as 0.0; the union-walk oracle divides a float gain by it too, so it raises
+    before = Snapshot("", {"a": Fraction(1, 10**400), "b": beside(1)})
+    after = Snapshot("", {"a": beside(2), "b": beside(2)})
+    with pytest.raises(InputError) as excinfo:
+        derive_from_snapshots(before, after, "ratio")
+    assert str(excinfo.value) == "non-finite r for 'a': inf"
+
+
+def test_a_ratio_over_a_fraction_base_that_reads_as_zero_is_exact():
+    # the float arithmetic would take 0.0 - 1e-400 as 0.0, and divide it by 0.0
+    before = Snapshot("", {"a": Fraction(1, 10**400), "b": 1.0})
+    system, _ = derive_from_snapshots(before, Snapshot("", {"a": 0.0, "b": 2.0}), "ratio")
+    assert system.by_id("a").r == -1.0
+
+
+@pytest.mark.parametrize(
+    "entity, message",
+    [
+        (EntityGain("a", 10**400, 0.1), "non-finite g for 'a': inf"),
+        (EntityGain("a", 0.1, Decimal("sNaN")), "non-finite r for 'a': nan"),
+        (EntityGain("a", 0.1, 0.2, -(10**400)), "negative score for 'a': -inf"),
+    ],
+    ids=["10**400 g", "Decimal sNaN r", "-10**400 score"],
+)
+def test_system_from_entities_reads_what_no_float_holds_as_non_finite(entity, message):
+    with pytest.raises(InputError) as excinfo:
+        system_from_entities([EntityGain("b", 1.0, 1.0), entity])
+    assert str(excinfo.value) == message
+
+
 def test_snapshot_rejects_negative_scores():
     with pytest.raises(InputError, match="negative"):
         Snapshot("", {"A": -1.0})
@@ -449,12 +496,14 @@ def test_snapshot_rejects_non_finite_scores(value):
         (10**400, "non-finite score for 'B': inf"),
         (-(10**400), "negative score for 'B': -inf"),
         (Fraction(10**400, 3), "non-finite score for 'B': inf"),
+        ((None, 10**400), "non-finite score for 'B': nan"),  # a tuple holds the scores of B and C
     ],
-    ids=["Decimal NaN", "Decimal sNaN", "10**400", "-10**400", "Fraction past the float range"],
+    ids=["Decimal NaN", "Decimal sNaN", "10**400", "-10**400", "Fraction past the float range", "None beside 10**400"],
 )
 def test_snapshot_reads_what_no_float_holds_as_non_finite(value, message):
+    values = value if isinstance(value, tuple) else (value,)
     with pytest.raises(InputError) as excinfo:
-        Snapshot("", {"A": 1.0, "B": value})
+        Snapshot("", {"A": 1.0, **dict(zip("BC", values))})
     assert str(excinfo.value) == message
 
 

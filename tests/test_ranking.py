@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -192,10 +193,18 @@ class TestMomentousness:
             ([("a", 1e308, 1e308)], "non-finite r*w for 'a': inf"),
             ([("a", 1e308, 1e308), ("b", -1e308, 1e308)], "non-finite r*w for 'a': inf"),
             ([("a", 1e308, 0.5), ("b", math.nan, 1e308)], "non-finite r for 'b': nan"),  # r before r*w
+            # each value is read as a Snapshot's score is, and shows as given
+            ([("a", 10**400, 0.5)], "non-finite r for 'a': inf"),
+            ([("a", "x", 0.5)], "non-finite r for 'a': nan"),
+            ([("a", Decimal("sNaN"), 0.5)], "non-finite r for 'a': nan"),
+            ([("a", 0.1, -5)], "negative w for 'a': -5"),
+            ([("a", 0.1, "0"), ("b", 0.2, -1)], "negative w for 'b': -1"),  # a word reading 0.0 has no sign of its own
+            ([("a", 0.1, [1.0, 2.0])], "non-finite w for 'a': nan"),
         ],
         ids=[
             "duplicate", "nan r", "negative w", "inf w", "blank id", "row number", "earlier row first",
             "r*w past the float range", "r*w of both signs", "nan r times a huge w",
+            "r past the float range", "word r", "Decimal sNaN r", "int w as given", "string zero w", "sequence w",
         ],
     )
     def test_rows_obey_the_leader_table_rules(self, rows, message):

@@ -46,6 +46,11 @@ class TestStudyConfig:
             (dict(n=100, trials=1, percentiles=()), "percentile"),
             (dict(n=100, trials=1, seed=-1), "seed"),
             (dict(n=100, trials=1, percentiles=(95.0, 99.0, 95.0)), "percentiles must not repeat, got 95.0 twice"),
+            (dict(n=2.5, trials=2), "^n must be an integer, got 2.5$"),
+            (dict(n=math.nan, trials=2), "^n must be an integer, got nan$"),
+            (dict(n=100, trials=2.5), "^trials must be an integer, got 2.5$"),
+            (dict(n=100, trials=2, seed=1.5), "^seed must be an integer, got 1.5$"),
+            (dict(n="100", trials=2), "^n must be an integer, got '100'$"),
         ],
         # pinned, so that a case keeps its id when others are added or dropped
         ids=[
@@ -56,17 +61,37 @@ class TestStudyConfig:
             "kwargs6-percentile",
             "kwargs9-seed",
             "repeated-percentile",
+            "fractional-n",
+            "nan-n",
+            "fractional-trials",
+            "fractional-seed",
+            "string-n",
         ],
     )
     def test_invalid_configs_rejected(self, kwargs, match):
         with pytest.raises(InputError, match=match):
             StudyConfig(**kwargs)
 
+    def test_numpy_integers_accepted(self):
+        config = StudyConfig(n=np.int64(50), trials=np.int32(3), seed=np.uint8(4))
+        assert run_study(config).sizes == run_study(StudyConfig(n=50, trials=3, seed=4)).sizes
+
 
 class TestRunTrial:
     def test_anticorrelated_pair_keeps_both(self):
         mask = leader_mask(np.array([5.0, 1.0]), np.array([0.1, 0.9]))
         assert mask.tolist() == [True, True]
+
+    @pytest.mark.parametrize(
+        "index, message",
+        [(-1, "trial index must be >= 0, got -1"), (1.5, "trial index must be an integer, got 1.5")],
+        ids=["negative", "fractional"],
+    )
+    @pytest.mark.parametrize("draw", [run_trial, trial_gains], ids=["run_trial", "trial_gains"])
+    def test_invalid_trial_index_rejected(self, draw, index, message):
+        with pytest.raises(InputError) as excinfo:
+            draw(StudyConfig(n=10, trials=1), index)
+        assert str(excinfo.value) == message
 
     def test_size_within_bounds(self):
         config = StudyConfig(n=300, trials=1, seed=5)
@@ -342,3 +367,12 @@ class TestBoundEstimate:
             bound_estimate(0, 0.5)
         with pytest.raises(InputError):
             bound_estimate(100, 0.0)
+        for n, c, message in [
+            (math.nan, 0.5, "n must be >= 1, got nan"),
+            (math.inf, 0.5, "n must be >= 1, got inf"),
+            (10, math.nan, "c must be > 0, got nan"),
+            (10, math.inf, "c must be > 0, got inf"),
+        ]:
+            with pytest.raises(InputError) as excinfo:
+                bound_estimate(n, c)
+            assert str(excinfo.value) == message

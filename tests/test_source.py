@@ -87,3 +87,46 @@ def test_record_rule_messages_are_built_only_in_check_columns():
         tree = core if path.name == "core.py" else ast.parse(path.read_text(encoding="utf-8"))
         outside += [(path.name, node.lineno) for node in _rule_messages(tree) if id(node) not in allowed]
     assert outside == []
+
+
+# the record builders, and whether a float() call in one is a record reading (_build's float(sum(...)) is a total)
+RECORD_BUILDERS = [
+    ("core.py", "build_delta_system", True),
+    ("core.py", "system_from_entities", True),
+    ("ranking.py", "_row_leaders", True),
+    ("io.py", "_snapshot_from_json", True),
+    ("core.py", "_build", False),
+]
+
+
+def _is_float64(node: ast.AST) -> bool:
+    """True for a dtype written as ``np.float64``, ``float`` or a float64 type string."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "float64"
+    if isinstance(node, ast.Name):
+        return node.id in ("float", "float64")
+    return isinstance(node, ast.Constant) and node.value in ("float64", "f8", "<f8", "d", "float")
+
+
+def _record_readings(function: ast.FunctionDef, float_calls: bool) -> list[int]:
+    """Lines of ``function`` that read numbers by ``float()`` (if ``float_calls``) or into a float64 array."""
+    lines = []
+    for node in (node for node in ast.walk(function) if isinstance(node, ast.Call)):
+        if float_calls and isinstance(node.func, ast.Name) and node.func.id == "float":
+            lines.append(node.lineno)
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in ("asarray", "array"):
+            dtypes = node.args[1:2] + [keyword.value for keyword in node.keywords if keyword.arg == "dtype"]
+            if any(map(_is_float64, dtypes)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_record_numbers_are_read_only_by_float64():
+    # core._float64 is the one reading of a record number: a float() or a float64 array in a record builder is a second
+    found = []
+    for module, name, float_calls in RECORD_BUILDERS:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert functions, f"{module} defines no {name}"
+        found += [(module, line) for line in _record_readings(functions[0], float_calls)]
+    assert found == []
