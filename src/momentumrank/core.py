@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from numbers import Number
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -212,9 +213,9 @@ def _check_columns(
         readings[name] = values
         if name in ("score", "w"):
             negative = values < 0
-            if not isinstance(column, np.ndarray):  # a number that rounds to 0.0 keeps its own sign; a word has none
+            if not isinstance(column, np.ndarray):  # a number that rounds to 0.0 keeps its own sign
                 zeros = np.flatnonzero(values == 0).tolist()
-                negative[zeros] = [isinstance(v, Number) and v < 0 for v in map(column.__getitem__, zeros)]
+                negative[zeros] = [v < 0 for v in map(column.__getitem__, zeros)]
             checks.append((f"negative {name}", negative, column))
         checks.append((f"non-finite {name}", ~np.isfinite(values), column))
     if {"r", "w"} <= readings.keys():
@@ -236,19 +237,29 @@ def _check_columns(
 
 
 def _float64(column: Sequence) -> tuple[np.ndarray, Sequence]:
-    """``column`` as 1-D float64, and its values for messages: each as given, or as ``_float_or_self`` reads it."""
-    try:
-        values = np.asarray(column, dtype=np.float64)
-        if values.ndim == 1:  # not a column with a sequence in it
-            return values, column
-    except (OverflowError, TypeError, ValueError):  # a number past the float range, a signalling NaN, a word, None
-        pass
+    """``column`` as 1-D float64, and its values for messages: each as given, or as ``_float_or_self`` reads it.
+
+    numpy parses text, so a column that is not an array is read by numpy only if it holds just numbers and None.
+    """
+    if isinstance(column, np.ndarray) or all(map(_is_number, set(map(type, column)) - {type(None)})):
+        try:
+            return np.asarray(column, dtype=np.float64), column
+        except (OverflowError, TypeError, ValueError):  # a number past the float range, a signalling NaN
+            pass
     column = list(map(_float_or_self, column))
     return np.asarray(column, dtype=np.float64), column
 
 
+def _is_number(kind: type) -> bool:
+    """Whether a value of type ``kind`` may be a record number: a ``numbers.Real`` or a ``Decimal``."""
+    decimal = sys.modules.get("decimal")  # a Decimal exists only once its module is imported
+    return issubclass(kind, Real) or decimal is not None and issubclass(kind, decimal.Decimal)
+
+
 def _float_or_self(value):
-    """``value`` if ``float`` takes it; else +-inf for a number past the float range, and NaN for any other value."""
+    """``value`` if it is a number ``float`` takes; +-inf for a number past the float range; else NaN."""
+    if not _is_number(type(value)):
+        return math.nan
     try:
         float(value)
     except OverflowError:
@@ -359,4 +370,7 @@ def derive_from_snapshots(
     window = ""
     if before.timestamp or after.timestamp:
         window = f"{before.timestamp}..{after.timestamp}"
-    return _build(ids, base, gains, rel, window), warnings
+    columns = (base, gains, rel)
+    if kinds == {float}:  # float scores give float columns, which need no type scan in _float64
+        columns = map(np.array, columns)
+    return _build(ids, *columns, window), warnings

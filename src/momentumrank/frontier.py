@@ -87,35 +87,55 @@ def leader_mask(g: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Boolean mask of maximal elements for paired, finite gain arrays.
 
     An entity is a leader iff no entity has strictly greater g and strictly
-    greater r. Two steps find them:
+    greater r. Three steps find them:
 
-    1. Screen. The leaders of a strided sample of about ``_SAMPLE`` points
+    1. Corner cut. The corner p maximises min(g, r); every entity below p
+       in both g and r is dropped. This pays only where g and r share one
+       scale near the top, as a study's uniform draws do (about 180 of
+       20,000 survive), so it runs only when at most a third of a strided
+       sample reaches the sample's best min(g, r) in g or in r. No antichain
+       passes that test, so an all-leader input is read as given.
+    2. Screen. The leaders of a strided sample of about ``_SAMPLE`` points
        form a staircase. One rectangle test against the staircase corner
        that dominates most of the sample, then one ``searchsorted`` over the
        staircase with its suffix maximum of r, drop every entity that some
        staircase point strictly beats in both g and r. Small inputs, and
        inputs whose sample staircase is too long for the screen to pay,
        skip it.
-    2. Sort-scan the survivors by descending g (an unstable sort). Entities
+    3. Sort-scan the survivors by descending g (an unstable sort). Entities
        tied on g form a group, and each member is compared with the running
        maximum of r over strictly greater g only, so ties never create
        dominance. A member leads iff that maximum does not strictly exceed
        its own r. The maximum is over a set, so the order within a group
        does not matter.
 
-    The screen is exact: each dropped entity is strictly dominated by a
-    real entity, and since dominance is a strict partial order, it is then
-    dominated by some leader too. No leader is ever dropped, so the
-    survivors have the same leaders as the whole input. The cost is about
-    linear when the frontier is small, and O(n log n) plus the screen in
-    the worst case. Inputs must be finite: a NaN breaks both steps.
+    The cut and the screen are exact: each dropped entity is strictly
+    dominated by a real entity that survives, and since dominance is a
+    strict partial order, then by some leader too. So the survivors have
+    the same leaders as the whole input. The cost is about linear when the
+    frontier is small, and O(n log n) plus the cut and the screen in the
+    worst case. Inputs must be finite: a NaN breaks every step.
     """
-    keep = _screen(g, r)
-    if keep is None:
-        return _sort_scan(g, r)
     mask = np.zeros(len(g), dtype=bool)
-    mask[keep] = _sort_scan(g[keep], r[keep])
+    if not len(g):
+        return mask
+    kept = None
+    for cut in (_corner, _screen):  # each returns the positions it keeps, or None to skip
+        keep = cut(g, r)
+        if keep is not None:
+            g, r = g[keep], r[keep]
+            kept = keep if kept is None else kept[keep]
+    mask[slice(None) if kept is None else kept] = _sort_scan(g, r)
     return mask
+
+
+def _corner(g: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    """Positions not strictly below p = argmax(min(g, r)) in both g and r, or None to skip the cut."""
+    sg, sr = g[:: max(1, len(g) // _SAMPLE)], r[:: max(1, len(g) // _SAMPLE)]
+    if 3 * np.count_nonzero(np.maximum(sg, sr) >= np.minimum(sg, sr).max()) > len(sg):
+        return None
+    p = np.minimum(g, r).argmax()
+    return np.flatnonzero((g >= g[p]) | (r >= r[p]))
 
 
 def _screen(g: np.ndarray, r: np.ndarray) -> np.ndarray | None:
@@ -142,9 +162,8 @@ def _screen(g: np.ndarray, r: np.ndarray) -> np.ndarray | None:
 
 
 def _sort_scan(g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Step 3 of ``leader_mask`` on non-empty g and r."""
     n = len(g)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     order = np.argsort(-g)
     gs = g[order]
     rs = r[order]

@@ -7,9 +7,9 @@ truncated Pareto law, leaves every trial's leader set unchanged. The count
 is therefore distribution-free: for any continuous, independent marginals
 it has the law of the record count of a random permutation of n, a sum of
 independent Bernoulli(1/k) (Renyi 1962). The study draws uniforms, the
-cheapest such marginals, and counts each trial's leaders behind one corner
-point (``_leader_count``): both coordinates share the scale [0, 1), so the
-corner cuts all but about 1 % of the draws before the sort-scan. The upper
+cheapest such marginals, and counts each trial's leaders with
+``frontier.leader_mask``, the one kernel: both coordinates share the scale
+[0, 1), so its corner cut drops all but about 1 % of the draws. The upper
 percentiles of the count grow like c * (log10(n) + 1)^2, but c is not a
 constant: the exact p95 is 16 at n = 20,000, so c is about 0.57 there, and
 it falls to 1/2 only near n = 100,000. Either way the frontier stays tiny
@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InputError
-from .frontier import _sort_scan
+from .core import InputError, _float_or_self
+from .frontier import leader_mask
 
 BOUND_COEFFICIENTS = (1 / 3, 1 / 2)
 
@@ -104,31 +104,9 @@ def _buffer(n: int) -> np.ndarray:
         raise InputError(f"n={n} is too large: no memory for its (2, n) float64 buffer") from None
 
 
-def _leader_count(g: np.ndarray, r: np.ndarray) -> int:
-    """How many leaders a non-empty, finite (g, r) sample has, behind one corner point.
-
-    The corner p maximises min(g, r). Every entity below p in both
-    coordinates is strictly dominated by p, which survives the cut, so by
-    transitivity each survivor keeps its leader status, and the survivors'
-    leader count is the sample's. The count is exact for any finite input,
-    but the cut pays only when g and r share one scale, as the study's
-    uniform draws on [0, 1) do: then p sits near (1, 1) and about 190 of
-    20,000 entities survive. On real systems, whose g and r have different
-    units, p cuts little, so ``leader_mask`` keeps its sample screen.
-    """
-    keep = _corner_survivors(g, r)
-    return int(np.count_nonzero(_sort_scan(g[keep], r[keep])))
-
-
-def _corner_survivors(g: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Positions not strictly below the corner point p = argmax(min(g, r)) in both g and r."""
-    p = np.minimum(g, r).argmax()
-    return np.flatnonzero((g >= g[p]) | (r >= r[p]))
-
-
 def run_trial(config: StudyConfig, trial_index: int) -> int:
     """Frontier size of one simulated system."""
-    return _leader_count(*trial_gains(config, trial_index))
+    return int(np.count_nonzero(leader_mask(*trial_gains(config, trial_index))))
 
 
 def nearest_rank_percentile(values: Sequence[float], p: float) -> float:
@@ -144,9 +122,10 @@ def nearest_rank_percentile(values: Sequence[float], p: float) -> float:
 
 
 def bound_estimate(n: int, c: float) -> float:
-    """c * (log10(n) + 1)^2, the empirical frontier-size ceiling."""
+    """c * (log10(n) + 1)^2, the empirical frontier-size ceiling; a c past the float range reads as inf."""
     if not 1 <= n < math.inf:
         raise InputError(f"n must be >= 1, got {n}")
+    c = _float_or_self(c)
     if not 0 < c < math.inf:
         raise InputError(f"c must be > 0, got {c}")
     return c * (math.log10(n) + 1) ** 2
@@ -170,7 +149,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     g, r = buf
     for i in range(config.trials):
         _trial_rng(config, i).random(out=buf)
-        sizes[i] = _leader_count(g, r)
+        sizes[i] = np.count_nonzero(leader_mask(g, r))
     sizes = sizes.tolist()
     denom = (math.log10(config.n) + 1) ** 2
     percentile_values = {p: int(nearest_rank_percentile(sizes, p)) for p in config.percentiles}

@@ -113,6 +113,9 @@ class TestBuildDeltaSystem:
             pytest.param(Decimal("sNaN"), id="Decimal sNaN"),
             pytest.param("x", id="word"),
             pytest.param([1.0, 2.0], id="sequence"),
+            # numpy parses text, but a record number must be a number
+            pytest.param("1.5", id="numeric text"),
+            pytest.param(b"1", id="numeric bytes"),
         ],
     )
     def test_non_finite_values_rejected(self, field, value):
@@ -497,8 +500,19 @@ def test_snapshot_rejects_non_finite_scores(value):
         (-(10**400), "negative score for 'B': -inf"),
         (Fraction(10**400, 3), "non-finite score for 'B': inf"),
         ((None, 10**400), "non-finite score for 'B': nan"),  # a tuple holds the scores of B and C
+        ("1.5", "non-finite score for 'B': nan"),
+        (b"1", "non-finite score for 'B': nan"),
     ],
-    ids=["Decimal NaN", "Decimal sNaN", "10**400", "-10**400", "Fraction past the float range", "None beside 10**400"],
+    ids=[
+        "Decimal NaN",
+        "Decimal sNaN",
+        "10**400",
+        "-10**400",
+        "Fraction past the float range",
+        "None beside 10**400",
+        "numeric text",
+        "numeric bytes",
+    ],
 )
 def test_snapshot_reads_what_no_float_holds_as_non_finite(value, message):
     values = value if isinstance(value, tuple) else (value,)

@@ -18,7 +18,8 @@ from momentumrank import (
     runners_up,
     verify_bound,
 )
-from momentumrank.frontier import _SAMPLE, _screen, leader_mask, leader_rows
+from momentumrank import frontier
+from momentumrank.frontier import _SAMPLE, _corner, _screen, leader_mask, leader_rows
 
 from util import (
     KERNEL_STYLES,
@@ -318,9 +319,45 @@ class TestLeaderMask:
         rng = np.random.default_rng([61, KERNEL_STYLES.index(style)])
         for n in (SCREENED + 1, 5000):
             g, r = kernel_pairs(rng, n, style)
-            mask = leader_mask(g, r)
-            assert np.array_equal(mask, brute_leader_mask(g, r))
-            assert np.array_equal(mask, lexsort_leader_mask(g, r))
+            for g, r in ((g, r), (-r, -g)):  # reflected: the minimal points lead
+                mask = leader_mask(g, r)
+                assert np.array_equal(mask, brute_leader_mask(g, r))
+                assert np.array_equal(mask, lexsort_leader_mask(g, r))
+
+    @pytest.mark.parametrize("style", KERNEL_STYLES)
+    def test_small_inputs_match_brute_force(self, style):
+        rng = np.random.default_rng([83, KERNEL_STYLES.index(style)])
+        for n in (1, 2, 3, 7, 40):
+            g, r = kernel_pairs(rng, n, style)
+            for g, r in ((g, r), (-r, -g)):
+                assert np.array_equal(leader_mask(g, r), brute_leader_mask(g, r))
+
+    def test_an_all_leader_input_is_screened_as_given(self, monkeypatch):
+        # the corner would keep every entity, so it is skipped rather than copied
+        g, r = kernel_pairs(np.random.default_rng(89), SCREENED + 1, "antidiagonal")
+        screened = []
+
+        def recorded(sg, sr):
+            screened.append((sg, sr))
+            return _screen(sg, sr)
+
+        monkeypatch.setattr(frontier, "_screen", recorded)
+        assert leader_mask(g, r).all()
+        ((sg, sr),) = screened
+        assert sg is g and sr is r  # no full-size copies
+
+    @pytest.mark.parametrize("n", [100, SCREENED + 1])
+    def test_entities_tying_the_corner_keep_their_status(self, n):
+        # the corner p = (5, 5) maximises min(g, r); the cut keeps whatever ties it in g or in r
+        rng = np.random.default_rng(97)
+        g, r = rng.random((2, n)) * 4
+        # p twice; (5, 1) ties p in g and (0.2, 5) in r, and each is beaten by a point beside the corner
+        ties = [(5, 5), (5, 5), (5, 1), (1, 5), (5, 4.5), (6, 2), (4.5, 5), (0.5, 6), (0.2, 5)]
+        g, r = np.concatenate([g, [t[0] for t in ties]]), np.concatenate([r, [t[1] for t in ties]])
+        assert _corner(g, r).tolist() == list(range(n, n + len(ties)))  # the cut runs, and drops every draw
+        mask = leader_mask(g, r)
+        assert np.array_equal(mask, brute_leader_mask(g, r))
+        assert mask[-len(ties) :].tolist() == [True, True, False, True, True, True, True, True, False]
 
     def test_screen_drops_the_bulk_of_a_small_frontier_input(self):
         g, r = kernel_pairs(np.random.default_rng(71), 20_000, "power_law")
@@ -329,7 +366,8 @@ class TestLeaderMask:
         assert np.array_equal(np.flatnonzero(leader_mask(g, r)), np.flatnonzero(brute_leader_mask(g, r)))
 
     def test_empty_input(self):
-        assert leader_mask(np.zeros(0), np.zeros(0)).tolist() == []
+        mask = leader_mask(np.zeros(0), np.zeros(0))
+        assert mask.dtype == bool and mask.tolist() == []
 
 
 class TestDominatedSet:

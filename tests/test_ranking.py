@@ -198,7 +198,7 @@ class TestMomentousness:
             ([("a", "x", 0.5)], "non-finite r for 'a': nan"),
             ([("a", Decimal("sNaN"), 0.5)], "non-finite r for 'a': nan"),
             ([("a", 0.1, -5)], "negative w for 'a': -5"),
-            ([("a", 0.1, "0"), ("b", 0.2, -1)], "negative w for 'b': -1"),  # a word reading 0.0 has no sign of its own
+            ([("a", 0.1, "0"), ("b", 0.2, -1)], "non-finite w for 'a': nan"),  # text is no number, even text reading 0
             ([("a", 0.1, [1.0, 2.0])], "non-finite w for 'a': nan"),
         ],
         ids=[

@@ -21,9 +21,9 @@ from momentumrank import (
     run_trial,
     trial_gains,
 )
-from momentumrank import simulation
+from momentumrank import frontier, simulation
 from momentumrank.frontier import _SAMPLE, leader_mask
-from momentumrank.simulation import _corner_survivors, _leader_count, bound_estimate, nearest_rank_percentile
+from momentumrank.simulation import bound_estimate, nearest_rank_percentile
 
 from util import (
     KERNEL_STYLES,
@@ -189,20 +189,29 @@ class TestTrialGains:
 
 
 class TestLeaderCount:
+    # the kernel's own cases are in test_frontier.py; these check how a trial's count reaches it
     @pytest.mark.parametrize("style", KERNEL_STYLES)
-    def test_matches_brute_force_and_leader_mask(self, style):
+    def test_matches_brute_force_and_leader_mask(self, monkeypatch, style):
         rng = np.random.default_rng([83, KERNEL_STYLES.index(style)])
-        # small inputs, then inputs large enough to reach leader_mask's sample screen
-        for n in (1, 2, 3, 7, 40, 4 * _SAMPLE + 1, 5000):
+        for n in (2, 7, 4 * _SAMPLE + 1):  # the last reaches leader_mask's sample screen
             g, r = kernel_pairs(rng, n, style)
             for g, r in ((g, r), (-r, -g)):  # reflected: the minimal points lead
-                count = _leader_count(g, r)
+                monkeypatch.setattr(simulation, "trial_gains", lambda config, i: (g, r))
+                count = run_trial(StudyConfig(n=n, trials=1), 0)
                 assert count == int(brute_leader_mask(g, r).sum())
                 assert count == int(leader_mask(g, r).sum())
 
-    def test_corner_drops_the_bulk_of_a_uniform_trial(self):
-        g, r = trial_gains(StudyConfig(n=20_000, trials=1, seed=37), 0)
-        assert len(_corner_survivors(g, r)) < 1_000
+    def test_corner_drops_the_bulk_of_a_uniform_trial(self, monkeypatch):
+        # leader_mask screens what its corner cut keeps
+        sizes, screen = [], frontier._screen
+
+        def counted(g, r):
+            sizes.append(len(g))
+            return screen(g, r)
+
+        monkeypatch.setattr(frontier, "_screen", counted)
+        run_trial(StudyConfig(n=20_000, trials=1, seed=37), 0)
+        assert len(sizes) == 1 and sizes[0] < 1_000
 
 
 class TestRunStudy:
@@ -288,9 +297,9 @@ class TestRunStudy:
             calls.append(None)
             if len(calls) == failing_count:
                 raise RuntimeError("count failed")
-            return _leader_count(g, r)
+            return leader_mask(g, r)
 
-        monkeypatch.setattr(simulation, "_leader_count", failing)
+        monkeypatch.setattr(simulation, "leader_mask", failing)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="count failed"):
             run_study(StudyConfig(n=2000, trials=200, seed=3))
@@ -372,6 +381,7 @@ class TestBoundEstimate:
             (math.inf, 0.5, "n must be >= 1, got inf"),
             (10, math.nan, "c must be > 0, got nan"),
             (10, math.inf, "c must be > 0, got inf"),
+            (10, 10**400, "c must be > 0, got inf"),  # an int past the float range reads as inf
         ]:
             with pytest.raises(InputError) as excinfo:
                 bound_estimate(n, c)

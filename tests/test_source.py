@@ -1,9 +1,9 @@
 """Source hygiene of the package and its tests.
 
 Deletions leave no dead import and no orphaned private helper, no line runs
-past 120 characters, and the record-rule messages are built only where the
-rules live. ``bench/`` is not checked: its files change only with the
-benchmark.
+past 120 characters, the record-rule messages are built only where the
+rules live, and the leader kernel's scan is read only inside the kernel.
+``bench/`` is not checked: its files change only with the benchmark.
 """
 import ast
 from pathlib import Path
@@ -129,4 +129,24 @@ def test_record_numbers_are_read_only_by_float64():
         functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
         assert functions, f"{module} defines no {name}"
         found += [(module, line) for line in _record_readings(functions[0], float_calls)]
+    assert found == []
+
+
+def _reads(tree: ast.AST, name: str) -> list[int]:
+    """Lines of ``tree`` that import ``name``, or read it as a name or an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)
+    ]
+
+
+def test_the_sort_scan_is_read_only_in_frontier():
+    # leader_mask is the one leader kernel: a caller of its last step skips the corner cut and the screen
+    found = []
+    for path in MODULES + TESTS:
+        if path.name != "frontier.py":
+            found += [(path.name, line) for line in _reads(ast.parse(path.read_text(encoding="utf-8")), "_sort_scan")]
     assert found == []
