@@ -8,11 +8,10 @@ coordinates; everything else in the package is built on top of that relation.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from numbers import Real
 from typing import Iterable, Sequence
 
@@ -157,9 +156,10 @@ def _build(
     string order); otherwise the given order is kept. ``where`` and
     ``found`` are as in ``_check_columns``.
     """
-    score_col, g_col, r_col = (_float64(c)[0] for c in (score, g, r))  # None reads as NaN
+    (score_col, given), (g_col, _), (r_col, _) = map(_float64, (score, g, r))  # None reads as NaN
     missing = np.isnan(score_col) if isinstance(score, np.ndarray) else np.array([s is None for s in score], bool)
-    _check_columns(ids, {"score": np.where(missing, 0.0, score_col), "g": g_col, "r": r_col}, where, found)
+    # an array, so messages show the floats read; a score that reads as 0.0 is checked with the sign it was given
+    _check_columns(ids, {"score": np.where(missing, 0.0, given), "g": g_col, "r": r_col}, where, found)
     has_scores = bool(ids) and not missing.any()
     if rank and has_scores:
         order = _rank_order(ids, score_col)
@@ -192,8 +192,9 @@ def _check_columns(
     Within a record, ids must be non-blank, then unique; then each column's
     values must be non-negative (``score`` and ``w`` only) and finite, and
     so must ``r * w`` where both columns are given. Each column is read by
-    ``_float64``, so messages show each value as given, a number past the
-    float range as +-inf, and a value ``float`` refuses as NaN.
+    ``_float64``, so messages show each value as given (an array's as the
+    float read), one past the float range as +-inf, and a value ``float``
+    refuses as NaN. A number that reads as 0.0 keeps its sign as given.
     ``where`` holds the records' CSV line numbers or names their JSON file.
     ``found`` holds ``(record, message)`` faults a reader has already found,
     such as a cell that does not parse. Each precedes the rules of its own
@@ -209,15 +210,15 @@ def _check_columns(
         faults.append((i, 1, f"duplicate entity id {ids[i]!r}"))
     checks, readings = [], {}
     for name, column in columns.items():
-        values, column = _float64(column)
+        values, shown = _float64(column)
+        shown = values if isinstance(column, np.ndarray) else shown  # an array's messages show the floats read
         readings[name] = values
         if name in ("score", "w"):
             negative = values < 0
-            if not isinstance(column, np.ndarray):  # a number that rounds to 0.0 keeps its own sign
-                zeros = np.flatnonzero(values == 0).tolist()
-                negative[zeros] = [v < 0 for v in map(column.__getitem__, zeros)]
-            checks.append((f"negative {name}", negative, column))
-        checks.append((f"non-finite {name}", ~np.isfinite(values), column))
+            zeros = np.flatnonzero(values == 0).tolist()  # a number that rounds to 0.0 keeps its own sign
+            negative[zeros] = [v < 0 for v in map(column.__getitem__, zeros)]
+            checks.append((f"negative {name}", negative, shown))
+        checks.append((f"non-finite {name}", ~np.isfinite(values), shown))
     if {"r", "w"} <= readings.keys():
         with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is the fault sought
             product = readings["r"] * readings["w"]
@@ -318,8 +319,10 @@ def derive_from_snapshots(
     with a zero before-score are excluded since that ratio is undefined);
     ``share_delta`` mode sets ``r`` to the change in the entity's share of
     the snapshot total. The base score is always the before-window value.
-    A ``Decimal`` beside a float or a ``Fraction``, which ``Decimal``
-    arithmetic does not take, counts as the equal ``Fraction``.
+    The diff runs on arrays: float64 when every score is a float, Python
+    objects otherwise, so an ``int``, ``Fraction`` or ``Decimal`` keeps its
+    exact arithmetic. A ``Decimal`` beside a float or a ``Fraction``, which
+    ``Decimal`` arithmetic does not take, counts as the equal ``Fraction``.
     """
     if mode not in MODES:
         raise InputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -350,27 +353,22 @@ def derive_from_snapshots(
     # (id, reason) pairs in set order: the warnings are sorted below
     excluded = [(eid, "present only in the before snapshot") for eid in old_scores.keys() - new_scores.keys()]
     excluded += [(eid, "present only in the after snapshot") for eid in new_scores.keys() - old_scores.keys()]
-    base = list(map(old_scores.__getitem__, ids))
+    dtype = np.float64 if kinds == {float} else object  # an exact number keeps its own arithmetic
+    base = np.fromiter(map(old_scores.__getitem__, ids), dtype, len(ids))
     if mode == "ratio":  # a zero base has no ratio: drop it before the after lookup and the subtraction
-        reason = "relative gain undefined (zero score before the window)"
-        excluded += zip(compress(ids, map(operator.not_, base)), repeat(reason))
-        ids, base = list(compress(ids, base)), list(filter(None, base))
-    new = list(map(new_scores.__getitem__, ids))
-    gains = list(map(operator.sub, new, base))
-    if mode == "ratio":
+        kept = base != 0
+        excluded += [(eid, "relative gain undefined (zero score before the window)") for eid in compress(ids, ~kept)]
+        ids, base = list(compress(ids, kept)), base[kept]
+    new = np.fromiter(map(new_scores.__getitem__, ids), dtype, len(ids))
+    with np.errstate(over="ignore"):  # a ratio past the float range is a fault that _build reports
+        gains = new - base
         try:
-            rel = list(map(operator.truediv, gains, base))
-        except ZeroDivisionError:  # a float over a Fraction base that reads as 0.0: take that ratio exactly
-            rel = [gain / b if float(b) else (Fraction(a) - b) / b for gain, a, b in zip(gains, new, base)]
-    else:
-        shares = map(operator.truediv, new, repeat(after_total)), map(operator.truediv, base, repeat(before_total))
-        rel = list(map(operator.sub, *shares))
+            rel = gains / base if mode == "ratio" else new / after_total - base / before_total
+        except ZeroDivisionError:  # a float gain over a Fraction base that reads as 0.0: take that ratio exactly
+            rel = np.array([g / b if float(b) else (Fraction(a) - b) / b for g, a, b in zip(gains, new, base)], object)
     warnings = tuple(f"excluded {eid!r}: {reason}" for eid, reason in sorted(excluded))
 
     window = ""
     if before.timestamp or after.timestamp:
         window = f"{before.timestamp}..{after.timestamp}"
-    columns = (base, gains, rel)
-    if kinds == {float}:  # float scores give float columns, which need no type scan in _float64
-        columns = map(np.array, columns)
-    return _build(ids, *columns, window), warnings
+    return _build(ids, base, gains, rel, window), warnings

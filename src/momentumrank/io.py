@@ -116,7 +116,8 @@ def _plain_columns(text: str) -> tuple[list[str], list[list[str]]] | None:
     ``csv.field_size_limit()`` bytes. On such a text ``csv.reader`` reads
     each line, ended by LF or CRLF, as the line split at every ','.
     """
-    text = text.replace("\r\n", "\n")
+    if "\r" in text:  # the replace copies the whole text, so only a text with CRs pays for it
+        text = text.replace("\r\n", "\n")
     if '"' in text or "\r" in text or "\0" in text:
         return None
     if not text.endswith("\n"):

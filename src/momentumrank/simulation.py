@@ -128,7 +128,7 @@ def bound_estimate(n: int, c: float) -> float:
     c = _float_or_self(c)
     if not 0 < c < math.inf:
         raise InputError(f"c must be > 0, got {c}")
-    return c * (math.log10(n) + 1) ** 2
+    return float(c) * (math.log10(n) + 1) ** 2  # a Decimal does not multiply a float
 
 
 def run_study(config: StudyConfig) -> StudyResult:

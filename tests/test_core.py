@@ -380,6 +380,17 @@ class TestDeriveMatchesUnionWalk:
         assert system_bits(got[0]) == system_bits(expected[0])
 
     @pytest.mark.parametrize("mode", ["ratio", "share_delta"])
+    def test_int_scores_beside_float_scores(self, mode):
+        # a and b are ints past 2**53 in both snapshots: float64 would take a's gain 2**53+3 - (2**53+1) as 4.0
+        big = 2**53
+        before = Snapshot("t0", {"a": big + 1, "b": 3 * big + 3, "c": 2.5, "d": 7, "z": 0, "x": 1.0})
+        after = Snapshot("t1", {"y": 3, "d": 0.5, "c": 4, "z": 2.0, "b": 3 * big + 1, "a": big + 3})
+        got, expected = derive_from_snapshots(before, after, mode), naive_derive_from_snapshots(before, after, mode)
+        assert got[1] == expected[1]
+        assert system_bits(got[0]) == system_bits(expected[0])
+        assert (got[0].by_id("a").g, got[0].by_id("b").g) == (2.0, -2.0)
+
+    @pytest.mark.parametrize("mode", ["ratio", "share_delta"])
     @pytest.mark.parametrize("beside", [float, Fraction], ids=["float", "Fraction"])
     def test_a_decimal_beside_other_numbers_counts_as_the_equal_fraction(self, beside, mode):
         # Decimal arithmetic takes neither a float nor a Fraction
@@ -483,6 +494,23 @@ def test_snapshot_accepts_exact_number_scores(value):
 def test_snapshot_rejects_a_negative_score_that_rounds_to_zero():
     with pytest.raises(InputError, match="negative score for 'A'"):
         Snapshot("", {"A": Fraction(-1, 10**400)})
+
+
+@pytest.mark.parametrize("value", [Fraction(-1, 10**400), Decimal("-1e-400")], ids=["Fraction", "Decimal"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda score: build_delta_system([("a", score, 1.0, 1.0), ("b", 1.0, 2.0, 2.0)]),
+        lambda score: system_from_entities([EntityGain("a", 1.0, 1.0, score)]),
+    ],
+    ids=["build_delta_system", "system_from_entities"],
+)
+def test_builders_reject_a_negative_score_that_rounds_to_zero(build, value):
+    # as a Snapshot does; a built system's message shows the float it read
+    with pytest.raises(InputError) as excinfo:
+        build(value)
+    assert str(excinfo.value) == "negative score for 'a': -0.0"
+    assert build(-0.0).by_id("a").score == 0.0  # a float -0.0 is not negative
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "10**400"])

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import threading
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +372,10 @@ class TestBoundEstimate:
 
     def test_small_n(self):
         assert bound_estimate(10, 1.0) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("c", [Decimal("0.5"), Fraction(1, 2), 0.5], ids=["Decimal", "Fraction", "float"])
+    def test_every_number_type_gives_the_float_estimate(self, c):
+        assert bound_estimate(10, c) == bound_estimate(10, 0.5) == 2.0
 
     def test_invalid_arguments(self):
         with pytest.raises(InputError):
