@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage or input error, 1 internal failure; a
-closed stdout ends the process by ``SIGPIPE``. stdout carries exactly the
-report; diagnostics go to stderr. With ``--debug`` an internal failure is
-re-raised with its traceback.
+closed stdout ends the process by ``SIGPIPE``. Each ``cmd_*`` returns
+its report and ``main`` prints it, so stdout carries exactly the report;
+diagnostics go to stderr. ``--debug`` re-raises an internal failure.
 """
 from __future__ import annotations
 
@@ -65,30 +65,24 @@ def _load_system(args: argparse.Namespace) -> DeltaSystem:
     return system
 
 
-def cmd_leaders(args: argparse.Namespace) -> int:
+def cmd_leaders(args: argparse.Namespace) -> str:
     if args.layers < 1:
         raise InputError(f"--layers must be >= 1, got {args.layers}")
     result = frontier_sortscan(_load_system(args))
     layers = runners_up(result, args.layers) if args.layers > 1 else None
-    print(write_report(result, args.format, layers=layers))
-    return 0
+    return write_report(result, args.format, layers=layers)
 
 
-def cmd_rank(args: argparse.Namespace) -> int:
-    print(write_report(rank_leaders(_load_system(args)), args.format))
-    return 0
+def cmd_rank(args: argparse.Namespace) -> str:
+    return write_report(rank_leaders(_load_system(args)), args.format)
 
 
-def cmd_momentousness(args: argparse.Namespace) -> int:
+def cmd_momentousness(args: argparse.Namespace) -> str:
     has_system_input = args.gains or args.before or args.after
     if args.leaders_csv and has_system_input:
         raise InputError("conflicting input flags: use --leaders-csv or a system input, not both")
-    if args.leaders_csv:
-        score = momentousness(parse_leaders_table(args.leaders_csv))
-    else:
-        score = momentousness(_load_system(args))
-    print(write_report(score, args.format))
-    return 0
+    source = parse_leaders_table(args.leaders_csv) if args.leaders_csv else _load_system(args)
+    return write_report(momentousness(source), args.format)
 
 
 def _comparison_side(args: argparse.Namespace, side: str):
@@ -96,30 +90,24 @@ def _comparison_side(args: argparse.Namespace, side: str):
     gains = getattr(args, f"gains_{side}")
     if (leaders_csv is None) == (gains is None):
         raise InputError(f"exactly one of --leaders-csv-{side} or --gains-{side} is required")
-    if leaders_csv:
-        return parse_leaders_table(leaders_csv)
-    return parse_gains_table(gains)
+    return parse_leaders_table(leaders_csv) if leaders_csv else parse_gains_table(gains)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    comparison = compare_systems(_comparison_side(args, "a"), _comparison_side(args, "b"))
-    print(write_report(comparison, args.format))
-    return 0
+def cmd_compare(args: argparse.Namespace) -> str:
+    return write_report(compare_systems(_comparison_side(args, "a"), _comparison_side(args, "b")), args.format)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> str:
     try:
         percentiles = tuple(float(p) for p in args.percentiles.split(","))
     except ValueError:
         raise InputError(f"--percentiles must be a comma-separated number list, got {args.percentiles!r}") from None
     config = StudyConfig(n=args.n, trials=args.trials, seed=args.seed, percentiles=percentiles)
-    print(write_report(run_study(config), args.format))
-    return 0
+    return write_report(run_study(config), args.format)
 
 
-def cmd_verify_bound(args: argparse.Namespace) -> int:
-    print(write_report(verify_bound(_load_system(args)), args.format))
-    return 0
+def cmd_verify_bound(args: argparse.Namespace) -> str:
+    return write_report(verify_bound(_load_system(args)), args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        print(args.func(args))
+        return 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

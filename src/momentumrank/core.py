@@ -8,6 +8,7 @@ coordinates; everything else in the package is built on top of that relation.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,7 +228,7 @@ def _check_columns(
         hits = np.flatnonzero(bad)
         if hits.size:
             i = int(hits[0])
-            faults.append((i, precedence, f"{fault} for {ids[i]!r}: {column[i]}"))
+            faults.append((i, precedence, f"{fault} for {ids[i]!r}: {_float_or_self(column[i])}"))
     if faults:
         i, precedence, message = min(faults)
         if precedence < 0:
@@ -268,6 +269,14 @@ def _float_or_self(value):
     except (TypeError, ValueError):
         return math.nan
     return value
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as ``operator.index`` reads it, or an InputError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def system_from_entities(entities: Sequence[EntityGain], window: str = "") -> DeltaSystem:

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DeltaSystem, InputError, dominates
+from .core import DeltaSystem, InputError, _integer, dominates
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,18 +267,21 @@ def leader_rows(frontier: FrontierResult) -> LeaderTable:
 def _range_fsums(terms: np.ndarray, lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
     """For k < size, the correctly rounded sum of ``terms[e]`` over every e with lo[e] <= k < hi[e].
 
-    Every term is finite, not negative and at most 1: an integer K_e times
-    2**base, base the lowest bit of any term and below 0. A difference array
-    of exact Python ints adds K_e over each range, and its prefix sum holds
-    each exact sum. One correctly rounded int division per range rounds it
-    once, which gives the bits of ``math.fsum``. A sum is as wide as the
-    exponents of its terms span, so memory grows with that span.
+    The package's one exact sum: w sums its normalized scores here, and
+    momentousness its r * w over a single range. Every term is finite, of
+    either sign and any size: an integer K_e times 2**base, base the lowest
+    bit of any term but never above 0. A difference array of exact Python
+    ints adds K_e over each range, and its prefix sum holds each exact sum.
+    One correctly rounded int division per range rounds it once, which gives
+    the bits of ``math.fsum`` (a zero sum is 0.0), and raises OverflowError
+    for a sum past the float range. A sum is as wide as the exponents of its
+    terms span, so memory grows with that span.
     """
-    keep = np.flatnonzero((lo < hi) & (terms > 0))
+    keep = np.flatnonzero((lo < hi) & (terms != 0))
     if not keep.size:
         return np.zeros(size)
     mantissa, exponent = np.frexp(terms[keep])
-    base = int(exponent.min()) - 53
+    base = min(int(exponent.min()) - 53, 0)
     ints = (mantissa * 2.0**53).astype(np.int64).astype(object) << (exponent - 53 - base).astype(object)
     diff = np.zeros(size + 1, dtype=object)
     np.add.at(diff, lo[keep], ints)
@@ -324,7 +327,7 @@ def runners_up(source: DeltaSystem | FrontierResult, layers: int) -> list[tuple[
 
     Given a frontier, layer 1 is that frontier, and the kernel runs only on the entities outside it.
     """
-    if layers < 1:
+    if _integer(layers, "layers") < 1:
         raise InputError(f"layers must be >= 1, got {layers}")
     frontier = source if isinstance(source, FrontierResult) else frontier_sortscan(source)
     ds = frontier.system

@@ -7,14 +7,13 @@ combine high relative gain with a heavy dominated set.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
 from .core import DeltaSystem, InputError, _check_columns, _rank_order
-from .frontier import _has_weights, frontier_sortscan, leader_rows
+from .frontier import _has_weights, _range_fsums, frontier_sortscan, leader_rows
 
 
 @dataclass(frozen=True)
@@ -96,21 +95,16 @@ def momentousness(source: SystemOrLeaders) -> MomentousnessScore:
     be negative.
     """
     ids, w, r = _weighted_leaders(source) if isinstance(source, DeltaSystem) else _row_leaders(source)
-    terms = tuple(zip(ids, r.tolist(), w.tolist(), (r * w).tolist()))
-    return MomentousnessScore(value=_sum([t[3] for t in terms]), terms=terms)
+    products = r * w
+    return MomentousnessScore(value=_sum(products), terms=tuple(zip(ids, r.tolist(), w.tolist(), products.tolist())))
 
 
-def _sum(values: list[float]) -> float:
-    """The correctly rounded sum of finite floats; a sum past the float range is an InputError."""
+def _sum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of finite terms, by ``_range_fsums``; a sum past the float range is an InputError."""
     try:
-        return math.fsum(values)
-    except OverflowError:  # a partial sum overflowed: the exact sum may still be a float
-        from fractions import Fraction  # imported on this rare path only: it adds 3 ms to every start
-
-        try:
-            return float(sum(map(Fraction, values)))
-        except OverflowError:
-            raise InputError("momentousness is past the float range: |sum of r*w| > 1.8e308") from None
+        return float(_range_fsums(terms, np.zeros(len(terms), np.intp), np.ones(len(terms), np.intp), 1)[0])
+    except OverflowError:
+        raise InputError("momentousness is past the float range: |sum of r*w| > 1.8e308") from None
 
 
 def _row_leaders(rows: LeaderRows) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -18,13 +18,12 @@ even for hundreds of thousands of entities.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import InputError, _float_or_self
+from .core import InputError, _float_or_self, _integer, _is_number
 from .frontier import leader_mask
 
 BOUND_COEFFICIENTS = (1 / 3, 1 / 2)
@@ -41,16 +40,19 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "trials", "seed"):
-            _index(getattr(self, name), name)
+            _integer(getattr(self, name), name)
         if self.n < 2:
             raise InputError(f"n must be >= 2, got {self.n}")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise InputError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "percentiles", tuple(self.percentiles))  # hashable, each element as given
         if not self.percentiles:
             raise InputError("at least one percentile is required")
         for i, p in enumerate(self.percentiles):
+            if not _is_number(type(p)):
+                raise InputError(f"percentiles must be real numbers, got {p!r}")
             if not 0 < p < 100:
                 raise InputError(f"percentiles must lie in (0, 100), got {p}")
             if p in self.percentiles[:i]:
@@ -64,14 +66,6 @@ class StudyResult:
     percentile_values: dict[float, int] = field(compare=False)
     bound_values: dict[float, float] = field(compare=False)
     fitted_c: dict[float, float] = field(compare=False)
-
-
-def _index(value, name: str) -> int:
-    """``value`` as ``operator.index`` reads it, or an InputError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _trial_rng(config: StudyConfig, trial_index: int) -> np.random.Generator:
@@ -88,7 +82,7 @@ def trial_gains(config: StudyConfig, trial_index: int) -> tuple[np.ndarray, np.n
     ``random(n)`` calls. No strictly increasing map can change a trial's
     leaders, so the uniforms count as any continuous marginals would.
     """
-    if _index(trial_index, "trial index") < 0:
+    if _integer(trial_index, "trial index") < 0:
         raise InputError(f"trial index must be >= 0, got {trial_index}")
     buf = _buffer(config.n)
     _trial_rng(config, trial_index).random(out=buf)

@@ -15,6 +15,7 @@ from momentumrank import (
     derive_from_snapshots,
     dominates,
     frontier_sortscan,
+    momentousness,
     system_from_entities,
 )
 
@@ -546,6 +547,22 @@ def test_snapshot_reads_what_no_float_holds_as_non_finite(value, message):
     values = value if isinstance(value, tuple) else (value,)
     with pytest.raises(InputError) as excinfo:
         Snapshot("", {"A": 1.0, **dict(zip("BC", values))})
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("neighbour", [1.0, 10**400], ids=["float neighbour", "neighbour past the float range"])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda neighbour: Snapshot("", {"a": None, "b": neighbour}), "non-finite score for 'a': nan"),
+        (lambda neighbour: momentousness([("a", None, 1.0), ("b", neighbour, 1.0)]), "non-finite r for 'a': nan"),
+    ],
+    ids=["Snapshot", "leader rows"],
+)
+def test_a_none_value_reads_as_nan_whatever_its_neighbours(build, message, neighbour):
+    # numpy reads the list with 1.0 and refuses it with 10**400: the message must not tell the two apart
+    with pytest.raises(InputError) as excinfo:
+        build(neighbour)
     assert str(excinfo.value) == message
 
 

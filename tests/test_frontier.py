@@ -365,6 +365,25 @@ class TestLeaderMask:
         assert kept is not None and len(kept) < 1_000
         assert np.array_equal(np.flatnonzero(leader_mask(g, r)), np.flatnonzero(brute_leader_mask(g, r)))
 
+    def test_the_screen_runs_on_what_the_corner_keeps(self, monkeypatch):
+        # g and r share a scale near the top, so the corner cuts, yet it keeps far too many for the sort to be cheap
+        rng = np.random.default_rng([0, 50_000])
+        g = rng.random(50_000)
+        r = rng.random(50_000) * 0.75
+        screened = []
+
+        def recorded(sg, sr):
+            kept = _screen(sg, sr)
+            screened.append((len(sg), kept))
+            return kept
+
+        monkeypatch.setattr(frontier, "_screen", recorded)
+        mask = leader_mask(g, r)
+        ((size, kept),) = screened
+        assert size == len(_corner(g, r)) == 12_222
+        assert kept is not None and len(kept) < 1_000
+        assert np.array_equal(mask, brute_leader_mask(g, r))
+
     def test_empty_input(self):
         mask = leader_mask(np.zeros(0), np.zeros(0))
         assert mask.dtype == bool and mask.tolist() == []
@@ -578,3 +597,10 @@ class TestRunnersUp:
     def test_invalid_layer_count(self, abcd):
         with pytest.raises(InputError):
             runners_up(abcd, 0)
+
+    @pytest.mark.parametrize("layers", [2.0, "2"], ids=["float", "string"])
+    def test_layer_count_must_be_an_integer(self, abcd, layers):
+        with pytest.raises(InputError) as excinfo:
+            runners_up(abcd, layers)
+        assert str(excinfo.value) == f"layers must be an integer, got {layers!r}"
+        assert runners_up(abcd, np.int64(2)) == runners_up(abcd, 2)

@@ -3,6 +3,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentumrank import (
     InputError,
@@ -15,8 +17,9 @@ from momentumrank import (
     parse_leaders_table,
     rank_leaders,
 )
+from momentumrank.ranking import _sum
 
-from util import random_pairs, records_from_pairs
+from util import fsum_then_fraction, random_pairs, records_from_pairs
 
 TABLE8_ROWS = (("k1", 0.2, 0.1), ("k2", 0.4, 0.6), ("k3", 0.8, 0.3))
 TABLE9_ROWS = (("I1", 0.05, 0.1), ("I2", 0.1, 0.3), ("I3", 0.2, 0.2), ("I4", 0.5, 0.1), ("I5", 10.0, 0.2))
@@ -226,6 +229,24 @@ class TestMomentousness:
             with pytest.raises(InputError) as excinfo:
                 score()
             assert str(excinfo.value) == "momentousness is past the float range: |sum of r*w| > 1.8e308"
+
+    @settings(max_examples=2_000, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([1e308, -1e308, 1.7e308, 0.0, -0.0, 5e-324, -5e-324, 2.0**-1074 * 3]),
+            max_size=12,
+        )
+    )
+    def test_sum_matches_the_fsum_then_fraction_oracle(self, values):
+        # repr tells the bits apart, the sign of a zero sum included, and shows the past-range message
+        def outcome(add, terms):
+            try:
+                return repr(add(terms))
+            except InputError as exc:
+                return f"InputError: {exc}"
+
+        assert outcome(_sum, np.array(values, dtype=float)) == outcome(fsum_then_fraction, values)
 
 
 class TestCompareSystems:

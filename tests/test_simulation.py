@@ -53,6 +53,8 @@ class TestStudyConfig:
             (dict(n=100, trials=2.5), "^trials must be an integer, got 2.5$"),
             (dict(n=100, trials=2, seed=1.5), "^seed must be an integer, got 1.5$"),
             (dict(n="100", trials=2), "^n must be an integer, got '100'$"),
+            (dict(n=10, trials=2, percentiles=("95",)), "^percentiles must be real numbers, got '95'$"),
+            (dict(n=10, trials=2, percentiles=(None,)), "^percentiles must be real numbers, got None$"),
         ],
         # pinned, so that a case keeps its id when others are added or dropped
         ids=[
@@ -68,11 +70,20 @@ class TestStudyConfig:
             "fractional-trials",
             "fractional-seed",
             "string-n",
+            "string-percentile",
+            "none-percentile",
         ],
     )
     def test_invalid_configs_rejected(self, kwargs, match):
         with pytest.raises(InputError, match=match):
             StudyConfig(**kwargs)
+
+    def test_percentiles_are_kept_as_a_tuple(self):
+        # each as given, so the report echoes 95 as 95; a tuple, so configs compare and hash by value
+        listed = StudyConfig(n=10, trials=2, percentiles=[95, 99.0])
+        assert listed.percentiles == (95, 99.0) and type(listed.percentiles[0]) is int
+        assert listed == StudyConfig(n=10, trials=2, percentiles=(95, 99.0))
+        assert hash(listed) == hash(StudyConfig(n=10, trials=2, percentiles=(95, 99.0)))
 
     def test_numpy_integers_accepted(self):
         config = StudyConfig(n=np.int64(50), trials=np.int32(3), seed=np.uint8(4))

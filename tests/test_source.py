@@ -2,8 +2,10 @@
 
 Deletions leave no dead import and no orphaned private helper, no line runs
 past 120 characters, the record-rule messages are built only where the
-rules live, and the leader kernel's scan is read only inside the kernel.
-``bench/`` is not checked: its files change only with the benchmark.
+rules live, the leader kernel's scan is read only inside the kernel, no
+module sums with ``fsum`` beside the one exact sum, and ``__all__`` lists
+exactly what ``__init__.py`` imports. ``bench/`` is not checked: its files
+change only with the benchmark.
 """
 import ast
 from pathlib import Path
@@ -150,3 +152,32 @@ def test_the_sort_scan_is_read_only_in_frontier():
         if path.name != "frontier.py":
             found += [(path.name, line) for line in _reads(ast.parse(path.read_text(encoding="utf-8")), "_sort_scan")]
     assert found == []
+
+
+def _calls(tree: ast.AST, name: str) -> list[int]:
+    """Lines of ``tree`` that call ``name``, as a bare name or as an attribute."""
+    funcs = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return [
+        func.lineno
+        for func in funcs
+        if isinstance(func, ast.Name) and func.id == name or isinstance(func, ast.Attribute) and func.attr == name
+    ]
+
+
+def test_no_module_calls_fsum():
+    # frontier._range_fsums is the one exact sum, for w and momentousness alike: an fsum call is a second
+    found = []
+    for path in MODULES:
+        found += [(path.name, line) for line in _calls(ast.parse(path.read_text(encoding="utf-8")), "fsum")]
+    assert found == []
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    # __all__ repeats each imported name by hand: one missing from either list is an export gone astray
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["__all__"]
+    ]
+    assert sorted(exported) == sorted(_imported_names(tree))

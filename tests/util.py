@@ -10,6 +10,7 @@ import io
 import json
 import math
 from array import array
+from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -297,6 +298,17 @@ def leader_row(ds, entity_id: str) -> tuple:
     lo = int(left[-1]) + 2 if left.size else 1
     hi = pos + int(right[0]) + 1 if right.size else ds.n
     return w, (lo, hi), int(np.count_nonzero(mask))
+
+
+def fsum_then_fraction(values: list[float]) -> float:
+    """Momentousness's old sum, the oracle of ``ranking._sum``: ``math.fsum``, then ``Fraction`` past an overflow."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # a partial sum overflowed: the exact sum may still be a float
+        try:
+            return float(sum(map(Fraction, values)))
+        except OverflowError:
+            raise InputError("momentousness is past the float range: |sum of r*w| > 1.8e308") from None
 
 
 # --- the CSV row readers -------------------------------------------------------
