@@ -327,7 +327,7 @@ def runners_up(source: DeltaSystem | FrontierResult, layers: int) -> list[tuple[
 
     Given a frontier, layer 1 is that frontier, and the kernel runs only on the entities outside it.
     """
-    if _integer(layers, "layers") < 1:
+    if (layers := _integer(layers, "layers")) < 1:
         raise InputError(f"layers must be >= 1, got {layers}")
     frontier = source if isinstance(source, FrontierResult) else frontier_sortscan(source)
     ds = frontier.system

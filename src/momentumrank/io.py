@@ -366,7 +366,8 @@ def _study_report(result: StudyResult) -> _Report:
     percentiles = {_fmt(float(p)): v for p, v in result.percentile_values.items()}
     fitted = {_fmt(float(p)): c for p, c in result.fitted_c.items()}
     bounds = {"1/3": result.bound_values[1 / 3], "1/2": result.bound_values[1 / 2]}
-    config = {"n": cfg.n, "trials": cfg.trials, "seed": cfg.seed, "percentiles": list(cfg.percentiles)}
+    echo = [p if type(p) in (int, float) else float(p) for p in cfg.percentiles]  # JSON numbers; a bool would be true
+    config = {"n": cfg.n, "trials": cfg.trials, "seed": cfg.seed, "percentiles": echo}
     payload = {"config": config, "percentiles": percentiles, "bounds": bounds, "fitted_c": fitted}
     table = _columns(["percentile", "size", "fitted c"], [(p, v, fitted[p]) for p, v in percentiles.items()])
     bound_line = ", ".join(f"c={k}: {_fmt_human(v)}" for k, v in bounds.items())

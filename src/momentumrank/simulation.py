@@ -18,8 +18,8 @@ even for hundreds of thousands of entities.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -40,22 +40,18 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         for name in ("n", "trials", "seed"):
-            _integer(getattr(self, name), name)
-        if self.n < 2:
-            raise InputError(f"n must be >= 2, got {self.n}")
-        if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+            object.__setattr__(self, name, _integer(getattr(self, name), name))  # the int read, not the object given
+        for name, least in (("n", 2), ("trials", 1), ("seed", 0)):
+            if (value := getattr(self, name)) < least:
+                raise InputError(f"{name} must be >= {least}, got {value}")
+        if isinstance(self.percentiles, (str, bytes)) or not isinstance(self.percentiles, Iterable):
+            raise InputError(f"percentiles must be a sequence of real numbers, got {self.percentiles!r}")
         object.__setattr__(self, "percentiles", tuple(self.percentiles))  # hashable, each element as given
         if not self.percentiles:
             raise InputError("at least one percentile is required")
         for i, p in enumerate(self.percentiles):
-            if not _is_number(type(p)):
-                raise InputError(f"percentiles must be real numbers, got {p!r}")
-            if not 0 < p < 100:
-                raise InputError(f"percentiles must lie in (0, 100), got {p}")
-            if p in self.percentiles[:i]:
+            _check_percentile(p)
+            if float(p) in map(float, self.percentiles[:i]):  # the rank reads each as its float
                 raise InputError(f"percentiles must not repeat, got {p} twice")
 
 
@@ -82,10 +78,10 @@ def trial_gains(config: StudyConfig, trial_index: int) -> tuple[np.ndarray, np.n
     ``random(n)`` calls. No strictly increasing map can change a trial's
     leaders, so the uniforms count as any continuous marginals would.
     """
-    if _integer(trial_index, "trial index") < 0:
-        raise InputError(f"trial index must be >= 0, got {trial_index}")
+    if (index := _integer(trial_index, "trial index")) < 0:
+        raise InputError(f"trial index must be >= 0, got {index}")
     buf = _buffer(config.n)
-    _trial_rng(config, trial_index).random(out=buf)
+    _trial_rng(config, index).random(out=buf)
     g, r = buf
     return g, r
 
@@ -107,12 +103,19 @@ def nearest_rank_percentile(values: Sequence[float], p: float) -> float:
     """Nearest-rank percentile: the ceil(p/100 * N)-th smallest value, with the rank exact."""
     if not values:
         raise InputError("percentile of an empty sample is undefined")
-    if not 0 < p < 100:
-        raise InputError(f"percentiles must lie in (0, 100), got {p}")
+    _check_percentile(p)
     ordered = sorted(values)
     # an exact ceiling: in floats 7 / 100 * 100 is 7.000000000000001, whose ceiling is 8
     num, den = float(p).as_integer_ratio()
     return ordered[-(-num * len(ordered) // (den * 100)) - 1]
+
+
+def _check_percentile(p) -> None:
+    """An InputError unless ``p`` is a real number whose float, the rank's percentile, lies in (0, 100)."""
+    if not _is_number(type(p)):
+        raise InputError(f"percentiles must be real numbers, got {p!r}")
+    if not 0 < float(_float_or_self(p)) < 100:  # a float, as the rank reads it; a Decimal NaN refuses < itself
+        raise InputError(f"percentiles must lie in (0, 100), got {p}")
 
 
 def bound_estimate(n: int, c: float) -> float:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -22,6 +23,7 @@ from momentumrank import (
     run_study,
     run_trial,
     trial_gains,
+    write_report,
 )
 from momentumrank import frontier, simulation
 from momentumrank.frontier import _SAMPLE, leader_mask
@@ -35,6 +37,30 @@ from util import (
     record_count_pmf,
     records_from_pairs,
 )
+
+
+def _integers(lo: int, hi: int):
+    """Integers in [lo, hi] as Python ints and numpy integer scalars (uint8 ones from 0), and bools."""
+    ints = st.integers(lo, hi)
+    return ints | st.booleans() | ints.map(np.int64) | ints.map(np.int32) | st.integers(0, min(hi, 255)).map(np.uint8)
+
+
+def _reals():
+    """Percentiles of every type a real number comes in, bools and numpy scalars too; most in range, some not."""
+    inside = st.floats(0, 100, exclude_min=True, exclude_max=True)
+    return (
+        st.integers(1, 99)
+        | inside
+        | st.fractions(0, 100)
+        | st.decimals(0, 100)
+        | st.booleans()
+        | st.integers(1, 99).map(np.int64)
+        | inside.map(np.float64)
+        | st.floats(0, 100, width=32).map(np.float32)
+        | st.integers(-5, 105)
+        | st.floats()
+        | st.decimals()
+    )
 
 
 class TestStudyConfig:
@@ -55,6 +81,13 @@ class TestStudyConfig:
             (dict(n="100", trials=2), "^n must be an integer, got '100'$"),
             (dict(n=10, trials=2, percentiles=("95",)), "^percentiles must be real numbers, got '95'$"),
             (dict(n=10, trials=2, percentiles=(None,)), "^percentiles must be real numbers, got None$"),
+            (dict(n=10, trials=2, percentiles=95.0), "^percentiles must be a sequence of real numbers, got 95.0$"),
+            (dict(n=10, trials=2, percentiles="95"), "^percentiles must be a sequence of real numbers, got '95'$"),
+            (dict(n=10, trials=2, percentiles=None), "^percentiles must be a sequence of real numbers, got None$"),
+            (dict(n=10, trials=2, percentiles=b"95"), "^percentiles must be a sequence of real numbers, got b'95'$"),
+            (dict(n=10, trials=2, percentiles=(Decimal("NaN"),)), r"^percentiles must lie in \(0, 100\), got NaN$"),
+            (dict(n=10, trials=2, percentiles=(Fraction(1, 10**400),)), r"^percentiles must lie in \(0, 100\), got 1/"),
+            (dict(n=10, trials=2, percentiles=(Fraction(1, 3), 1 / 3)), "^percentiles must not repeat, got 0.3333"),
         ],
         # pinned, so that a case keeps its id when others are added or dropped
         ids=[
@@ -72,6 +105,13 @@ class TestStudyConfig:
             "string-n",
             "string-percentile",
             "none-percentile",
+            "scalar-percentiles",
+            "string-percentiles",
+            "none-percentiles",
+            "bytes-percentiles",
+            "decimal-nan-percentile",
+            "percentile-whose-float-is-zero",
+            "percentiles-with-one-float",
         ],
     )
     def test_invalid_configs_rejected(self, kwargs, match):
@@ -88,6 +128,47 @@ class TestStudyConfig:
     def test_numpy_integers_accepted(self):
         config = StudyConfig(n=np.int64(50), trials=np.int32(3), seed=np.uint8(4))
         assert run_study(config).sizes == run_study(StudyConfig(n=50, trials=3, seed=4)).sizes
+        echo = json.loads(write_report(run_study(config), "json"))["config"]
+        assert echo == {"n": 50, "trials": 3, "seed": 4, "percentiles": [95.0, 99.0]}
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint8], ids=lambda kind: kind.__name__)
+    def test_each_integer_is_kept_as_the_int_read(self, kind):
+        config = StudyConfig(n=kind(5), trials=kind(2), seed=kind(3))
+        assert [type(value) for value in (config.n, config.trials, config.seed)] == [int, int, int]
+        assert config == StudyConfig(n=5, trials=2, seed=3) and hash(config) == hash(StudyConfig(n=5, trials=2, seed=3))
+
+    def test_a_bool_is_kept_as_its_int(self):
+        config = StudyConfig(n=10, trials=True, seed=False)
+        assert (config.trials, config.seed) == (1, 0) and type(config.trials) is type(config.seed) is int
+        assert run_study(config).sizes == run_study(StudyConfig(n=10, trials=1, seed=0)).sizes  # one trial
+
+    def test_the_json_echo_writes_each_percentile_as_a_number(self):
+        # an int or a float as given, any other real number as its float, so a bool reads as its key does
+        given = (95, 99.5, Fraction(50), Decimal("97.5"), np.int64(7), np.float32(0.5), True)
+        echo = json.loads(write_report(run_study(StudyConfig(n=10, trials=2, percentiles=given)), "json"))["config"]
+        assert echo["percentiles"] == [95, 99.5, 50.0, 97.5, 7.0, 0.5, 1.0]
+        assert [type(p) for p in echo["percentiles"]] == [int] + [float] * 6
+
+    @settings(max_examples=300)
+    @given(
+        n=_integers(2, 40),
+        trials=_integers(1, 4),
+        seed=_integers(0, 300),
+        percentiles=st.lists(_reals(), min_size=1, max_size=3),
+    )
+    def test_every_config_that_constructs_renders(self, n, trials, seed, percentiles):
+        try:
+            config = StudyConfig(n=n, trials=trials, seed=seed, percentiles=percentiles)
+        except InputError:
+            return
+        result = run_study(config)
+        assert write_report(result, "csv") and write_report(result, "markdown")
+        payload = json.loads(write_report(result, "json"))
+        echo = payload["config"]
+        assert [echo[name] for name in ("n", "trials", "seed")] == [n, trials, seed]
+        assert [type(echo[name]) for name in ("n", "trials", "seed")] == [int, int, int]
+        assert all(type(p) in (int, float) for p in echo["percentiles"])
+        assert len(echo["percentiles"]) == len(payload["percentiles"]) == len(config.percentiles)  # a row each
 
 
 class TestRunTrial:
@@ -369,6 +450,14 @@ class TestNearestRankPercentile:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             nearest_rank_percentile([], 95)
+
+    @pytest.mark.parametrize("p", ["95", None], ids=["string", "none"])
+    def test_a_percentile_that_is_not_a_number_rejected_as_study_config_rejects_it(self, p):
+        with pytest.raises(InputError) as from_config:
+            StudyConfig(n=10, trials=2, percentiles=(p,))
+        with pytest.raises(InputError) as from_rank:
+            nearest_rank_percentile([1, 2], p)
+        assert str(from_rank.value) == str(from_config.value) == f"percentiles must be real numbers, got {p!r}"
 
     @pytest.mark.parametrize("p", [0, 100])
     def test_percentile_outside_the_open_range_rejected(self, p):

@@ -3,8 +3,9 @@
 Deletions leave no dead import and no orphaned private helper, no line runs
 past 120 characters, the record-rule messages are built only where the
 rules live, the leader kernel's scan is read only inside the kernel, no
-module sums with ``fsum`` beside the one exact sum, and ``__all__`` lists
-exactly what ``__init__.py`` imports. ``bench/`` is not checked: its files
+module sums with ``fsum`` beside the one exact sum, ``__all__`` lists
+exactly what ``__init__.py`` imports, and each integer ``_integer`` reads is
+the one kept. ``bench/`` is not checked: its files
 change only with the benchmark.
 """
 import ast
@@ -154,14 +155,19 @@ def test_the_sort_scan_is_read_only_in_frontier():
     assert found == []
 
 
+def _calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
+    """The calls in ``tree`` to ``name``, as a bare name or as an attribute."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == name or getattr(node.func, "attr", None) == name)
+    ]
+
+
 def _calls(tree: ast.AST, name: str) -> list[int]:
     """Lines of ``tree`` that call ``name``, as a bare name or as an attribute."""
-    funcs = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
-    return [
-        func.lineno
-        for func in funcs
-        if isinstance(func, ast.Name) and func.id == name or isinstance(func, ast.Attribute) and func.attr == name
-    ]
+    return [call.func.lineno for call in _calls_to(tree, name)]
 
 
 def test_no_module_calls_fsum():
@@ -181,3 +187,21 @@ def test_all_lists_exactly_what_the_package_imports():
         if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["__all__"]
     ]
     assert sorted(exported) == sorted(_imported_names(tree))
+
+
+def _keeps(parent: ast.AST, node: ast.AST) -> bool:
+    """Whether ``parent`` binds ``node``: as the value of an assignment or ``:=``, or as what ``__setattr__`` sets."""
+    if isinstance(parent, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+        return parent.value is node
+    setattr_call = isinstance(parent, ast.Call) and getattr(parent.func, "attr", None) == "__setattr__"
+    return setattr_call and parent.args[-1:] == [node]
+
+
+def test_every_integer_read_is_kept():
+    # core._integer returns the int it checked: a call whose value is dropped leaves its caller using the object given
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        found += [(path.name, call.lineno) for call in _calls_to(tree, "_integer") if not _keeps(parents[call], call)]
+    assert found == []
