@@ -1,84 +1,61 @@
-"""Momentum ranking via Pareto ordering of absolute and relative gains."""
+"""Momentum ranking via Pareto ordering of absolute and relative gains.
 
-from .core import (
-    DeltaSystem,
-    EntityGain,
-    InputError,
-    Snapshot,
-    build_delta_system,
-    derive_from_snapshots,
-    dominates,
-    system_from_entities,
-)
-from .frontier import (
-    BoundCheck,
-    FrontierResult,
-    MovingMaxima,
-    dominated_set,
-    frontier_bruteforce,
-    frontier_sortscan,
-    interval,
-    moving_maxima,
-    runners_up,
-    verify_bound,
-)
-from .io import parse_gains_table, parse_leaders_table, parse_snapshot, write_report
-from .ranking import (
-    LeaderRanking,
-    MomentousnessScore,
-    SystemComparison,
-    compare_systems,
-    leader_weight,
-    momentousness,
-    normalized_weights,
-    rank_leaders,
-)
-from .simulation import (
-    StudyConfig,
-    StudyResult,
-    bound_estimate,
-    run_study,
-    run_trial,
-    trial_gains,
-)
+Each public name loads the module that defines it on first use (PEP 562),
+so ``import momentumrank`` loads neither numpy nor any submodule.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCheck",
-    "DeltaSystem",
-    "EntityGain",
-    "FrontierResult",
-    "InputError",
-    "LeaderRanking",
-    "MomentousnessScore",
-    "MovingMaxima",
-    "Snapshot",
-    "StudyConfig",
-    "StudyResult",
-    "SystemComparison",
-    "bound_estimate",
-    "build_delta_system",
-    "compare_systems",
-    "derive_from_snapshots",
-    "dominated_set",
-    "dominates",
-    "frontier_bruteforce",
-    "frontier_sortscan",
-    "interval",
-    "leader_weight",
-    "momentousness",
-    "moving_maxima",
-    "normalized_weights",
-    "parse_gains_table",
-    "parse_leaders_table",
-    "parse_snapshot",
-    "rank_leaders",
-    "run_study",
-    "run_trial",
-    "runners_up",
-    "system_from_entities",
-    "trial_gains",
-    "verify_bound",
-    "write_report",
-]
+_EXPORTS = {  # each public name and the module that defines it
+    "BoundCheck": "frontier",
+    "DeltaSystem": "core",
+    "EntityGain": "core",
+    "FrontierResult": "frontier",
+    "InputError": "core",
+    "LeaderRanking": "ranking",
+    "MomentousnessScore": "ranking",
+    "MovingMaxima": "frontier",
+    "Snapshot": "core",
+    "StudyConfig": "simulation",
+    "StudyResult": "simulation",
+    "SystemComparison": "ranking",
+    "bound_estimate": "simulation",
+    "build_delta_system": "core",
+    "compare_systems": "ranking",
+    "derive_from_snapshots": "core",
+    "dominated_set": "frontier",
+    "dominates": "core",
+    "frontier_bruteforce": "frontier",
+    "frontier_sortscan": "frontier",
+    "interval": "frontier",
+    "leader_weight": "ranking",
+    "momentousness": "ranking",
+    "moving_maxima": "frontier",
+    "normalized_weights": "ranking",
+    "parse_gains_table": "io",
+    "parse_leaders_table": "io",
+    "parse_snapshot": "io",
+    "rank_leaders": "ranking",
+    "run_study": "simulation",
+    "run_trial": "simulation",
+    "runners_up": "frontier",
+    "system_from_entities": "core",
+    "trial_gains": "simulation",
+    "verify_bound": "frontier",
+    "write_report": "io",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # any other name raises, so ``from momentumrank import cli`` falls back to importing the submodule
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

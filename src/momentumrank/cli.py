@@ -160,7 +160,7 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Process entry of ``python -m momentumrank`` and the ``momentumrank`` script.
+    """What the process entry, ``momentumrank.__main__``, runs for ``python -m momentumrank`` and the script.
 
     ``gc.freeze()`` moves every object that start-up and the imports made
     into the collector's permanent generation, so neither a collection

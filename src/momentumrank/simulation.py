@@ -18,7 +18,7 @@ even for hundreds of thousands of entities.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +44,10 @@ class StudyConfig:
         for name, least in (("n", 2), ("trials", 1), ("seed", 0)):
             if (value := getattr(self, name)) < least:
                 raise InputError(f"{name} must be >= {least}, got {value}")
-        if isinstance(self.percentiles, (str, bytes)) or not isinstance(self.percentiles, Iterable):
-            raise InputError(f"percentiles must be a sequence of real numbers, got {self.percentiles!r}")
-        object.__setattr__(self, "percentiles", tuple(self.percentiles))  # hashable, each element as given
+        given = self.percentiles  # a mapping would be read by its keys, and a 0-d array is Iterable yet cannot iterate
+        if isinstance(given, (str, bytes, Mapping)) or not isinstance(given, Iterable) or getattr(given, "ndim", 1) < 1:
+            raise InputError(f"percentiles must be a sequence of real numbers, got {given!r}")
+        object.__setattr__(self, "percentiles", tuple(given))  # hashable, each element as given
         if not self.percentiles:
             raise InputError("at least one percentile is required")
         for i, p in enumerate(self.percentiles):

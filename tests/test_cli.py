@@ -279,6 +279,50 @@ def test_closed_stdout_ends_the_process_silently():
     assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
+def _python(script: str, **env: str) -> str:
+    """The stdout of ``script`` in a fresh interpreter on the package, with no OpenBLAS setting but ``env``'s."""
+    base = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env = {**base, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), **env}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stderr == ""
+    return out.stdout
+
+
+def test_importing_the_package_loads_neither_numpy_nor_a_submodule():
+    # the process entry sets up numpy before it loads, so the package itself must not load it
+    script = (
+        "import sys\n"
+        "import momentumrank\n"
+        "print(sorted(name for name in sys.modules if name == 'numpy' or name.startswith('momentumrank.')))\n"
+        "print(momentumrank.run_study.__module__)\n"
+    )
+    assert _python(script).splitlines() == ["[]", "momentumrank.simulation"]
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_the_process_entry_gives_openblas_one_thread_unless_told_otherwise(given):
+    # no module calls BLAS, so a worker would only spin; a user's own setting still wins
+    script = (
+        "import os\n"
+        "import momentumrank.__main__\n"
+        "import numpy\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)\n"
+    )
+    setting, threads = _python(script, **({} if given is None else {"OPENBLAS_NUM_THREADS": given})).split()
+    assert setting == (given or "1")
+    if given is None:
+        assert threads == "1"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_console_script_goes_through_the_process_entry():
+    import tomllib
+
+    pyproject = tomllib.loads((Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"] == {"momentumrank": "momentumrank.__main__:run"}
+
+
 def test_float_snapshots_leave_decimal_and_fractions_unimported(tmp_path):
     # each adds milliseconds to every start, and only exact-number scores need them
     before, after = tmp_path / "before.csv", tmp_path / "after.csv"

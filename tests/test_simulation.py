@@ -85,6 +85,8 @@ class TestStudyConfig:
             (dict(n=10, trials=2, percentiles="95"), "^percentiles must be a sequence of real numbers, got '95'$"),
             (dict(n=10, trials=2, percentiles=None), "^percentiles must be a sequence of real numbers, got None$"),
             (dict(n=10, trials=2, percentiles=b"95"), "^percentiles must be a sequence of real numbers, got b'95'$"),
+            (dict(n=10, trials=2, percentiles=np.array(95.0)), r"^percentiles must be a .*, got array\(95\.\)$"),
+            (dict(n=10, trials=2, percentiles={95: "x", 50: "y"}), "^percentiles must be a .*, got {95: 'x', 50"),
             (dict(n=10, trials=2, percentiles=(Decimal("NaN"),)), r"^percentiles must lie in \(0, 100\), got NaN$"),
             (dict(n=10, trials=2, percentiles=(Fraction(1, 10**400),)), r"^percentiles must lie in \(0, 100\), got 1/"),
             (dict(n=10, trials=2, percentiles=(Fraction(1, 3), 1 / 3)), "^percentiles must not repeat, got 0.3333"),
@@ -109,6 +111,8 @@ class TestStudyConfig:
             "string-percentiles",
             "none-percentiles",
             "bytes-percentiles",
+            "zero-d-array-percentiles",
+            "mapping-percentiles",
             "decimal-nan-percentile",
             "percentile-whose-float-is-zero",
             "percentiles-with-one-float",
@@ -124,6 +128,7 @@ class TestStudyConfig:
         assert listed.percentiles == (95, 99.0) and type(listed.percentiles[0]) is int
         assert listed == StudyConfig(n=10, trials=2, percentiles=(95, 99.0))
         assert hash(listed) == hash(StudyConfig(n=10, trials=2, percentiles=(95, 99.0)))
+        assert StudyConfig(n=10, trials=2, percentiles=np.array([95.0, 50.0])).percentiles == (95.0, 50.0)  # 1-D array
 
     def test_numpy_integers_accepted(self):
         config = StudyConfig(n=np.int64(50), trials=np.int32(3), seed=np.uint8(4))

@@ -3,15 +3,17 @@
 Deletions leave no dead import and no orphaned private helper, no line runs
 past 120 characters, the record-rule messages are built only where the
 rules live, the leader kernel's scan is read only inside the kernel, no
-module sums with ``fsum`` beside the one exact sum, ``__all__`` lists
-exactly what ``__init__.py`` imports, and each integer ``_integer`` reads is
-the one kept. ``bench/`` is not checked: its files
-change only with the benchmark.
+module sums with ``fsum`` beside the one exact sum, ``__init__.py`` writes
+each export once and maps it to the module that defines it, no module calls
+a BLAS routine, and each integer ``_integer`` reads is the one kept.
+``bench/`` is not checked: its files change only with the benchmark.
 """
 import ast
 from pathlib import Path
 
 import pytest
+
+import momentumrank
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "momentumrank"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -29,9 +31,8 @@ def _imported_names(tree: ast.Module) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES + TESTS if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
-    # __init__.py imports to re-export, so it is not checked
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in _imported_names(tree) if name not in used] == []
@@ -179,14 +180,35 @@ def test_no_module_calls_fsum():
 
 
 def test_all_lists_exactly_what_the_package_imports():
-    # __all__ repeats each imported name by hand: one missing from either list is an export gone astray
+    # _EXPORTS names each export once, with its module: a name repeated or defined elsewhere is an export gone astray
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    (exported,) = [
-        ast.literal_eval(node.value)
+    (written,) = [
+        [key.value for key in node.value.keys]
         for node in tree.body
-        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["__all__"]
+        if isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["_EXPORTS"]
     ]
-    assert sorted(exported) == sorted(_imported_names(tree))
+    assert [name for i, name in enumerate(written) if name in written[:i]] == []
+    assert momentumrank.__all__ == list(momentumrank._EXPORTS) == written
+    misplaced = [
+        (name, module)
+        for name, module in momentumrank._EXPORTS.items()
+        if getattr(momentumrank, name).__module__ != f"momentumrank.{module}"
+    ]
+    assert misplaced == []
+
+
+BLAS_NAMES = ("dot", "matmul", "vdot", "inner", "tensordot", "einsum", "linalg")
+
+
+def test_no_module_calls_blas():
+    # __main__ gives OpenBLAS one thread, which costs nothing only while no module multiplies matrices
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        matmuls = [node for node in ast.walk(tree) if isinstance(getattr(node, "op", None), ast.MatMult)]  # @ and @=
+        found += [(path.name, node.lineno) for node in matmuls]
+        found += [(path.name, line) for name in BLAS_NAMES for line in _reads(tree, name)]
+    assert found == []
 
 
 def _keeps(parent: ast.AST, node: ast.AST) -> bool:
